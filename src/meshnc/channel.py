@@ -21,6 +21,7 @@ class Topology:
         self.positions = dict(positions)
         self.range_m = range_m
         self._adj: dict[NodeId, frozenset[NodeId]] = {}
+        # Ascending ids: reception draws are consumed in this order.
         self._sorted_adj: dict[NodeId, tuple[NodeId, ...]] = {}
         ids = sorted(self.positions)
         for n in ids:
@@ -41,20 +42,14 @@ class Topology:
     def adjacency(self) -> dict[NodeId, frozenset[NodeId]]:
         return dict(self._adj)
 
-    def sorted_neighbors(self, n: NodeId) -> tuple[NodeId, ...]:
-        return self._sorted_adj[n]
-
 
 @dataclass(frozen=True)
 class ChannelParams:
     ber: float
-    data_rate: float = 1_000_000.0
 
     def __post_init__(self):
         if not 0.0 <= self.ber < 1.0:
             raise ValueError(f"ber must be in [0,1), got {self.ber}")
-        if self.data_rate <= 0:
-            raise ValueError("data rate must be positive")
 
 
 def neighbors(topo: Topology, n: NodeId) -> frozenset[NodeId]:

@@ -12,7 +12,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .core import CodedComponent, CodedPacket, NativePacket, NodeId, PayloadId, decodable
+from .core import CodedComponent, CodedPacket, NativePacket, NodeId, PayloadId, Protocol, decodable
 from .routing import ForwardingTables, RoutingError, neighbor_next_hop
 
 NeighborFn = Callable[[NodeId], frozenset[NodeId]]
@@ -32,7 +32,9 @@ class NeighborKnowledge:
     """Per-neighbor belief about which payloads that neighbor holds.
 
     Fed by piggybacked reception reports, overheard ACKs and broadcast
-    inference; entries age out together with the packet pool.
+    inference. Each neighbor keeps at most `cap` entries, oldest evicted
+    first; that cap is the only way entries leave during a run, since the
+    node runtime never calls `prune`.
     """
 
     __slots__ = ("_held", "cap")
@@ -181,8 +183,6 @@ def sender_timeout(protocol, n_mixed: int, n_sender_neighbors: int,
     proportion to its neighbor count so every potential helper's hold window
     fits inside the wait.
     """
-    from .core import Protocol  # local import avoids a cycle in type-only use
-
     if n_mixed < 1 or n_sender_neighbors < 1:
         raise ValueError("n_mixed and n_sender_neighbors must be >= 1")
     if n_mixed == 1:

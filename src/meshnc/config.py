@@ -1,8 +1,9 @@
 """Flat key=value scenario configuration files.
 
 Format: one `key = value` per line, `#` comments, repeated `flow = ...` and
-`node = ...` lines. Unknown keys and malformed values are rejected with the
-offending line number.
+`node = ...` lines. Unknown keys, malformed values and unroutable flows are
+rejected with the offending line number; a missing topology or missing flow
+lines are rejected with no line number.
 
 Example::
 
@@ -15,12 +16,14 @@ Example::
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from .channel import Topology
 from .core import Protocol
 from .params import Flow, Scenario, SimParams
-from .routing import RoutingError, build_forwarding_tables, next_hop
+from .routing import build_forwarding_tables, check_flows
 from .scenarios import TOPOLOGY_KINDS, build_topology, default_flows
 
 DEFAULT_BERS = (2e-6, 2e-5, 5e-5, 8e-5, 1e-4, 2e-4)
@@ -35,8 +38,12 @@ _INT_PARAMS = {"payload_size", "retry_limit", "queue_cap", "ack_cache_cap",
 
 
 class ConfigError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    """A rejected config; `line_no` is None when the fault is something the
+    file lacks rather than something on one line."""
+
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None
+                         else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
@@ -85,6 +92,7 @@ def _parse_protocol(token: str, line_no: int) -> Protocol:
 def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
     cfg = ScenarioConfig(name=name)
     flows: list[Flow] = []
+    flow_lines: list[int] = []
     nodes: dict[int, tuple[float, float]] = {}
     timer_overrides: dict[str, float] = {}
     param_overrides: dict[str, object] = {}
@@ -99,6 +107,10 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
         key = key.strip().lower()
         value = value.strip()
         try:
+            if (key == "topology" and nodes
+                    or key == "node" and cfg.topology_kind):
+                raise ConfigError(line_no, "give either 'topology' or "
+                                  "explicit 'node' lines, not both")
             if key == "topology":
                 if value not in TOPOLOGY_KINDS:
                     raise ConfigError(
@@ -115,6 +127,7 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
                 src, dst, interval, duration = (v.strip() for v in value.split(","))
                 flows.append(Flow(int(src), int(dst), float(interval),
                                   float(duration)))
+                flow_lines.append(line_no)
             elif key == "protocol":
                 cfg.protocols = (_parse_protocol(value, line_no),)
             elif key == "protocols":
@@ -152,8 +165,6 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigError(line_no, f"bad value for {key!r}: {exc}") from None
 
-    if nodes and cfg.topology_kind:
-        raise ConfigError(1, "give either 'topology' or explicit 'node' lines, not both")
     cfg.explicit_nodes = nodes
     if flows:
         cfg.flows = tuple(flows)
@@ -162,38 +173,28 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
     if timer_overrides:
         cfg.params = cfg.params.with_timers(**timer_overrides)
     if cfg.topology_kind is None and not nodes:
-        raise ConfigError(1, "config needs a 'topology' or explicit 'node' lines")
+        raise ConfigError(None, "config needs a 'topology' or explicit 'node' lines")
     if cfg.topology_kind is None and not cfg.flows:
-        raise ConfigError(1, "explicit topologies need explicit 'flow' lines")
-    validate_config(cfg)
+        raise ConfigError(None, "explicit topologies need explicit 'flow' lines")
+    validate_config(cfg, flow_lines)
     return cfg
 
 
 def load_config(path: str) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    name = cfgname_from_path(path)
+    name = os.path.splitext(os.path.basename(path))[0] or "custom"
     return parse_config(text, name=name)
 
 
-def cfgname_from_path(path: str) -> str:
-    import os
-    stem = os.path.splitext(os.path.basename(path))[0]
-    return stem or "custom"
-
-
-def validate_config(cfg: ScenarioConfig) -> None:
-    """Reject flows between missing or mutually unreachable endpoints."""
+def validate_config(cfg: ScenarioConfig, flow_lines: Sequence[int] = ()) -> None:
+    """Reject what `check_flows` rejects, as a ConfigError at the flow's
+    line; `flow_lines[i]` is where flow i was written, if it was."""
     topo = cfg.topology()
     tables = build_forwarding_tables(topo)
-    for fl in cfg.resolved_flows():
-        if fl.src not in topo or fl.dst not in topo:
-            raise ValueError(f"flow endpoint not in topology: {fl}")
-        if fl.src == fl.dst:
-            raise ValueError(f"flow source equals destination: {fl}")
+    for i, fl in enumerate(cfg.resolved_flows()):
         try:
-            next_hop(tables, fl.src, fl.dst)
-        except RoutingError:
-            raise ValueError(
-                f"no route between flow endpoints {fl.src} and {fl.dst}"
-            ) from None
+            check_flows(topo, tables, (fl,))
+        except ValueError as exc:
+            raise ConfigError(flow_lines[i] if flow_lines else None,
+                              str(exc)) from None

@@ -82,10 +82,6 @@ class Frame:
     bits: int
 
     @property
-    def kind(self) -> str:
-        return "ack" if isinstance(self.body, Ack) else "data"
-
-    @property
     def transmitter(self) -> NodeId:
         body = self.body
         if isinstance(body, NativePacket):

@@ -22,10 +22,10 @@ from collections import deque
 from typing import Optional
 
 from .channel import ChannelParams, sample_reception
-from .core import Ack, Frame, NativePacket, PayloadId, Protocol
+from .core import Ack, Frame, NativePacket, PayloadId, ack_frame_bits
 from .node import Metrics, NodeState, SendAck, StartTimer, TxIntent, TIMER_WAKEUP
 from .params import Scenario
-from .routing import build_forwarding_tables, next_hop
+from .routing import build_forwarding_tables, check_flows, next_hop
 
 E_TRAFFIC = 0
 E_GRANT = 1
@@ -94,7 +94,7 @@ class Simulation:
         self.sc = scenario
         self.params = scenario.params
         self.topo = scenario.topology
-        self.chan = ChannelParams(scenario.ber, self.params.data_rate)
+        self.chan = ChannelParams(scenario.ber)
         self.rng = random.Random(seed)
         self.tables = build_forwarding_tables(self.topo)
         adj = self.topo.adjacency()
@@ -109,7 +109,7 @@ class Simulation:
                          self.nbrs, self.metrics, payload_check=check)
             for n in self.node_order
         }
-        self._validate_flows()
+        check_flows(self.topo, self.tables, scenario.flows)
 
         self._heap: list[tuple] = []
         self._seq = 0
@@ -120,14 +120,6 @@ class Simulation:
         # ACKs that came due while the medium was busy; they transmit ahead
         # of any data grant as soon as the air frees (SIFS-style priority).
         self._ack_backlog: deque = deque()
-
-    def _validate_flows(self) -> None:
-        for fl in self.sc.flows:
-            if fl.src not in self.topo or fl.dst not in self.topo:
-                raise ValueError(f"flow endpoint missing from topology: {fl}")
-            if fl.src == fl.dst:
-                raise ValueError(f"flow may not target its own source: {fl}")
-            next_hop(self.tables, fl.src, fl.dst)  # raises when unreachable
 
     # ------------------------------------------------------------- plumbing
 
@@ -159,7 +151,7 @@ class Simulation:
         p = self.params
         n = intent.n_components
         return (2 * p.turnaround + (n - 1) * p.ack_stagger
-                + (14 * 8) / p.data_rate)
+                + ack_frame_bits() / p.data_rate)
 
     # ------------------------------------------------------------------ run
 

@@ -78,20 +78,17 @@ class QueueEntry:
 class MixEntry:
     coded: CodedPacket
     natives: tuple[NativePacket, ...]
-    retx_count: int
 
 
 @dataclass(slots=True)
 class PendingEntry:
     pkt: NativePacket
     deadline: float
-    coded: bool
 
 
 @dataclass(slots=True)
 class HelperEntry:
-    coded: bool
-    pkt: Optional[NativePacket]  # decoded native (coded case); q2 holds the native case
+    pkt: Optional[NativePacket]  # decoded coded component; None: q2 holds it
     frame_sender: NodeId
     intended: NodeId
     onward: NodeId
@@ -146,7 +143,8 @@ class NodeState:
         self.q2: deque[QueueEntry] = deque()
         self.mixing_q: deque[MixEntry] = deque()
         self._queued: set[PayloadId] = set()
-        self.pool: OrderedDict[PayloadId, tuple[bytes, float]] = OrderedDict()
+        self.pool: OrderedDict[PayloadId, bytes] = OrderedDict()
+        self._pool_stamps: dict[PayloadId, float] = {}
         self.recent_rx: deque[PayloadId] = deque(maxlen=8)
         self.ack_cache: deque[tuple[NodeId, PayloadId]] = deque()
         self._acked_by: dict[PayloadId, set[NodeId]] = {}
@@ -160,34 +158,17 @@ class NodeState:
     # ------------------------------------------------------------------ utils
 
     def _pool_add(self, pid: PayloadId, payload: bytes, now: float) -> None:
-        pool = self.pool
-        pool[pid] = (payload, now)
+        pool, stamps = self.pool, self._pool_stamps
+        pool[pid] = payload
         pool.move_to_end(pid)
+        stamps[pid] = now
         floor = now - self.params.pool_ttl
         while pool:
-            old_pid, (_, stamp) = next(iter(pool.items()))
-            if stamp >= floor:
+            old_pid = next(iter(pool))
+            if stamps[old_pid] >= floor:
                 break
             pool.popitem(last=False)
-
-    def pool_payloads(self) -> dict[PayloadId, bytes]:
-        return {pid: data for pid, (data, _) in self.pool.items()}
-
-    class _PoolView:
-        __slots__ = ("_pool",)
-
-        def __init__(self, pool):
-            self._pool = pool
-
-        def __contains__(self, pid):
-            return pid in self._pool
-
-        def get(self, pid, default=None):
-            entry = self._pool.get(pid)
-            return entry[0] if entry is not None else default
-
-    def _pool_view(self):
-        return NodeState._PoolView(self.pool)
+            del stamps[old_pid]
 
     def _note_received(self, pid: PayloadId) -> None:
         if pid in self.recent_rx:
@@ -222,13 +203,19 @@ class NodeState:
         return (pid in self._queued or pid in self.pending
                 or pid in self.helper_timers or pid in self.delivered)
 
+    def _scan_queues(self) -> set[PayloadId]:
+        """Payloads in q1, q2 or the mixing queue, read off the queues."""
+        ids = {e.pkt.id for e in self.q1}
+        ids.update(e.pkt.id for e in self.q2)
+        for m in self.mixing_q:
+            ids.update(n.id for n in m.natives)
+        return ids
+
     def held_payloads(self) -> set[PayloadId]:
         """Payloads in this node's custody: queued in q1, q2 or the mixing
-        queue, awaiting an ACK, or behind a helper timer."""
-        held = {e.pkt.id for e in self.q1}
-        held.update(e.pkt.id for e in self.q2)
-        for m in self.mixing_q:
-            held.update(n.id for n in m.natives)
+        queue, awaiting an ACK, or behind a helper timer. The queues are
+        rescanned rather than trusting `_queued`, so this can check it."""
+        held = self._scan_queues()
         held.update(self.pending)
         held.update(self.helper_timers)
         return held
@@ -304,17 +291,13 @@ class NodeState:
         self.metrics.drops["malformed"] += 1
         return []
 
-    def _learn_from(self, transmitter: NodeId, frame: Frame, now: float) -> None:
-        know = self.knowledge
-        know.merge(transmitter, frame.reception_report, now)
-
     def _harvest_components(self, c: CodedPacket, now: float) -> None:
         """Peel every decodable component into the pool. Overheard coded
         traffic would otherwise starve downstream decoding: a payload that
         only ever crossed the air inside XORs leaves no pool entries behind."""
-        pool = self._pool_view()
+        pool = self.pool
         for comp in c.components:
-            if comp.id in self.pool:
+            if comp.id in pool:
                 continue
             if decodable(c, pool, comp):
                 native = decode(c, pool, comp)
@@ -344,6 +327,62 @@ class NodeState:
             entry.fire_at = fire
             actions.append(StartTimer(TIMER_HELPER, pid, fire))
 
+    def _accept(self, pkt: NativePacket, now: float, ack_delay: float,
+                actions: list[Action]) -> None:
+        """The intended forwarder's path for a received native or decoded
+        component: suppress a duplicate, deliver at the destination, or
+        queue it toward the next hop; every outcome is acknowledged."""
+        eligible = now
+        if not self.admit_packet(pkt) or pkt.id in self._queued:
+            self.metrics.dups_suppressed += 1
+        elif pkt.dst == self.node_id:
+            self._deliver(pkt)
+        elif len(self.q1) >= self.params.queue_cap:
+            # The frame itself was received fine, so acknowledge it;
+            # retrying into a full queue would only burn airtime.
+            self.metrics.drops["queue_overflow"] += 1
+        else:
+            onward_hop = next_hop(self.tables, self.node_id, pkt.dst)
+            if self.protocol != Protocol.PLAIN:
+                eligible += self.params.pairing_hold
+            self.q1.append(QueueEntry(
+                replace(pkt, next_hop=onward_hop, second_next_hop=None),
+                eligible_at=eligible))
+            self._queued.add(pkt.id)
+        actions.append(SendAck(self._make_ack(pkt.id), ack_delay))
+        if eligible > now:
+            actions.append(StartTimer(TIMER_WAKEUP, None, eligible))
+
+    def _onward(self, intended: NodeId, dst: NodeId) -> Optional[NodeId]:
+        """The hop after `intended` toward `dst`, read from this node's copy
+        of the intended forwarder's table; None when it has no route."""
+        if intended == dst:
+            return dst
+        try:
+            return neighbor_next_hop(self.tables, self.node_id, intended, dst)
+        except RoutingError:
+            return None
+
+    def _arm_helper(self, pkt: NativePacket, sender: NodeId, onward: NodeId,
+                    parked: bool, now: float, actions: list[Action]) -> None:
+        """Hold `pkt`, heard from `sender` on its way to its next hop, to
+        forward it to `onward` unless a closer node ACKs first. A `parked`
+        native waits in q2; a decoded coded component waits on its timer
+        entry alone."""
+        pid = pkt.id
+        if parked:
+            if len(self.q2) >= self.params.queue_cap:
+                self.metrics.drops["q2_overflow"] += 1
+                return
+            self.q2.append(QueueEntry(pkt, eligible_at=now, onward=onward))
+            self._queued.add(pid)
+        index = priority_index(self.node_id, sender, pkt.next_hop, self.nbrs)
+        fire = now + helper_hold_time(index, self.params.timers)
+        self.helper_timers[pid] = HelperEntry(
+            pkt=None if parked else pkt, frame_sender=sender,
+            intended=pkt.next_hop, onward=onward, fire_at=fire, index=index)
+        actions.append(StartTimer(TIMER_HELPER, pid, fire))
+
     def _on_native(self, p: NativePacket, frame: Frame, now: float) -> list[Action]:
         actions: list[Action] = []
         proto = self.protocol
@@ -351,46 +390,22 @@ class NodeState:
         self._cede_custody(p.id, p.next_hop)
         self._refresh_helper(p.id, now, actions)
         if proto != Protocol.PLAIN:
-            self._learn_from(tx, frame, now)
+            know = self.knowledge
+            know.merge(tx, frame.reception_report, now)
             self._pool_add(p.id, p.payload, now)
             self._note_received(p.id)
             # Broadcast inference: every neighbor of the transmitter heard
             # this too unless the channel said otherwise; being wrong under
             # loss reproduces the optimistic coding decisions of the real
             # protocols.
-            know = self.knowledge
             know.add(tx, p.id, now)
             for m in self.nbrs(tx):
                 if m != self.node_id:
                     know.add(m, p.id, now)
 
         if p.next_hop == self.node_id:
-            if not self.admit_packet(p) or p.id in self._queued:
-                self.metrics.dups_suppressed += 1
-                actions.append(SendAck(self._make_ack(p.id)))
-                return actions
-            if p.dst == self.node_id:
-                self._deliver(p)
-                actions.append(SendAck(self._make_ack(p.id)))
-                return actions
-            if len(self.q1) >= self.params.queue_cap:
-                # The frame itself was received fine, so acknowledge it;
-                # retrying into a full queue would only burn airtime.
-                self.metrics.drops["queue_overflow"] += 1
-                actions.append(SendAck(self._make_ack(p.id)))
-                return actions
-            onward_hop = next_hop(self.tables, self.node_id, p.dst)
-            queued = replace(p, next_hop=onward_hop, second_next_hop=None)
-            eligible = now if proto == Protocol.PLAIN else now + self.params.pairing_hold
-            self.q1.append(QueueEntry(queued, eligible_at=eligible))
-            self._queued.add(p.id)
-            actions.append(SendAck(self._make_ack(p.id)))
-            if eligible > now:
-                actions.append(StartTimer(TIMER_WAKEUP, None, eligible))
-            return actions
-
-        # Overhearing path.
-        if proto in (Protocol.BEND, Protocol.FLEXONC):
+            self._accept(p, now, 0.0, actions)
+        elif proto in (Protocol.BEND, Protocol.FLEXONC):
             self._consider_native_helping(p, tx, now, actions)
         return actions
 
@@ -404,26 +419,10 @@ class NodeState:
         if self.protocol == Protocol.BEND:
             onward = p.second_next_hop
         else:
-            try:
-                onward = (p.dst if p.next_hop == p.dst
-                          else neighbor_next_hop(self.tables, self.node_id,
-                                                 p.next_hop, p.dst))
-            except RoutingError:
-                onward = None
+            onward = self._onward(p.next_hop, p.dst)
         if onward is None or (onward != p.next_hop and onward not in my_nbrs):
             return
-        if len(self.q2) >= self.params.queue_cap:
-            self.metrics.drops["q2_overflow"] += 1
-            return
-        self.q2.append(QueueEntry(p, eligible_at=now, onward=onward))
-        self._queued.add(p.id)
-        index = priority_index(self.node_id, tx, p.next_hop, self.nbrs)
-        fire = now + helper_hold_time(index, self.params.timers)
-        self.helper_timers[p.id] = HelperEntry(
-            coded=False, pkt=None, frame_sender=tx, intended=p.next_hop,
-            onward=onward, fire_at=fire, index=index,
-        )
-        actions.append(StartTimer(TIMER_HELPER, p.id, fire))
+        self._arm_helper(p, tx, onward, True, now, actions)
 
     def _on_coded(self, c: CodedPacket, frame: Frame, now: float) -> list[Action]:
         actions: list[Action] = []
@@ -432,77 +431,38 @@ class NodeState:
             self._cede_custody(comp.id, comp.intended_next_hop)
             self._refresh_helper(comp.id, now, actions)
         if proto != Protocol.PLAIN:
-            self._learn_from(c.sender, frame, now)
             know = self.knowledge
+            know.merge(c.sender, frame.reception_report, now)
             for comp in c.components:
                 know.add(c.sender, comp.id, now)
             self._harvest_components(c, now)
 
-        mine = None
-        my_index = 0
         for i, comp in enumerate(c.components):
             if comp.intended_next_hop == self.node_id:
-                mine, my_index = comp, i
-                break
-
-        if mine is not None:
-            pool = self._pool_view()
-            native = decode(c, pool, mine)
-            if native is None:
-                self.metrics.drops["undecodable"] += 1
-                return actions  # silent; the sender discovers via timeout
-            self._pool_add(native.id, native.payload, now)
-            self._note_received(native.id)
-            stagger = my_index * self.params.ack_stagger
-            if not self.admit_packet(native) or native.id in self._queued:
-                self.metrics.dups_suppressed += 1
-                actions.append(SendAck(self._make_ack(native.id), stagger))
+                native = decode(c, self.pool, comp)
+                if native is None:
+                    self.metrics.drops["undecodable"] += 1
+                    return actions  # silent; the sender discovers via timeout
+                self._pool_add(native.id, native.payload, now)
+                self._note_received(native.id)
+                self._accept(native, now, i * self.params.ack_stagger, actions)
                 return actions
-            if native.dst == self.node_id:
-                self._deliver(native)
-                actions.append(SendAck(self._make_ack(native.id), stagger))
-                return actions
-            if len(self.q1) >= self.params.queue_cap:
-                self.metrics.drops["queue_overflow"] += 1
-                actions.append(SendAck(self._make_ack(native.id), stagger))
-                return actions
-            onward_hop = next_hop(self.tables, self.node_id, native.dst)
-            queued = replace(native, next_hop=onward_hop)
-            self.q1.append(QueueEntry(queued, eligible_at=now + self.params.pairing_hold))
-            self._queued.add(native.id)
-            actions.append(SendAck(self._make_ack(native.id), stagger))
-            actions.append(StartTimer(TIMER_WAKEUP, None, now + self.params.pairing_hold))
-            return actions
 
         if proto != Protocol.FLEXONC:
             self.metrics.drops["non_intended_coded"] += 1
             return actions
 
         comp = flexonc_eligible(self.node_id, c, self.tables, self.nbrs,
-                                self._pool_view())
-        if comp is None or self._in_custody(comp.id):
+                                self.pool)
+        native = None
+        if comp is not None and not self._in_custody(comp.id):
+            native = decode(c, self.pool, comp)
+        if native is None or not self.admit_packet(native):
             self.metrics.drops["non_intended_coded"] += 1
             return actions
-        native = decode(c, self._pool_view(), comp)
-        if native is None:
-            self.metrics.drops["non_intended_coded"] += 1
-            return actions
-        probe = replace(native, prev_hop=c.sender, next_hop=comp.intended_next_hop)
-        if not self.admit_packet(probe):
-            self.metrics.drops["non_intended_coded"] += 1
-            return actions
-        onward = (comp.dst if comp.intended_next_hop == comp.dst
-                  else neighbor_next_hop(self.tables, self.node_id,
-                                         comp.intended_next_hop, comp.dst))
-        index = priority_index(self.node_id, c.sender, comp.intended_next_hop,
-                               self.nbrs)
-        fire = now + helper_hold_time(index, self.params.timers)
-        self.helper_timers[comp.id] = HelperEntry(
-            coded=True, pkt=native, frame_sender=c.sender,
-            intended=comp.intended_next_hop, onward=onward, fire_at=fire,
-            index=index,
-        )
-        actions.append(StartTimer(TIMER_HELPER, comp.id, fire))
+        self._arm_helper(native, c.sender,
+                         self._onward(comp.intended_next_hop, comp.dst),
+                         False, now, actions)
         return actions
 
     # ----------------------------------------------------------------- acks
@@ -567,19 +527,12 @@ class NodeState:
             survivors.extend(n for n in m.natives if n.id != pid)
         if dropped:
             self.mixing_q = new_mix
-            self._rebuild_queued()
+            self._queued = self._scan_queues()
             # Unwrap surviving components back into q1 as natives.
             for n in survivors:
                 if n.id not in self._queued:
                     self.q1.appendleft(QueueEntry(n, eligible_at=0.0))
                     self._queued.add(n.id)
-
-    def _rebuild_queued(self) -> None:
-        ids = {e.pkt.id for e in self.q1}
-        ids.update(e.pkt.id for e in self.q2)
-        for m in self.mixing_q:
-            ids.update(n.id for n in m.natives)
-        self._queued = ids
 
     # --------------------------------------------------------------- timers
 
@@ -619,20 +572,17 @@ class NodeState:
         del self.helper_timers[pid]
         if pid in self.pending or pid in self.delivered:
             return []
-        if entry.coded and pid in self._queued:
-            return []
-        if entry.coded:
-            pkt = entry.pkt
+        pkt = entry.pkt
+        if pkt is not None:
+            if pid in self._queued:
+                return []
         else:
-            pkt = None
-            keep = deque()
-            for e in self.q2:
-                if e.pkt.id == pid and pkt is None:
+            for i, e in enumerate(self.q2):
+                if e.pkt.id == pid:
                     pkt = e.pkt
-                else:
-                    keep.append(e)
-            self.q2 = keep
-            if pkt is None:
+                    del self.q2[i]
+                    break
+            else:
                 return []  # mixed away or dropped since the timer was armed
             self._queued.discard(pid)
         if len(self.q1) >= self.params.queue_cap:
@@ -643,42 +593,19 @@ class NodeState:
         ack = self._make_ack(pid)
         self.metrics.helper_forwards += 1
         actions: list[Action] = [SendAck(ack)]
-        partner = self._remix_partner(forwarded)
+        partner = self._take_partner(forwarded, heads_only=True)
         if partner is not None:
-            natives = (forwarded, partner)
+            natives = (forwarded, partner.pkt)
             coded = encode([self._stamp_for_tx(n) for n in natives], self.node_id)
-            self.mixing_q.append(MixEntry(coded, natives, retx_count=0))
-            self._queued.add(pid)
+            self.mixing_q.append(MixEntry(coded, natives))
         else:
             # Taken-over packets queue like any forwarded packet, pairing
             # hold included, so they can still ride coded frames from here.
             eligible = now + self.params.pairing_hold
             self.q1.append(QueueEntry(forwarded, eligible_at=eligible))
-            self._queued.add(pid)
             actions.append(StartTimer(TIMER_WAKEUP, None, eligible))
+        self._queued.add(pid)
         return actions
-
-    def _remix_partner(self, pkt: NativePacket) -> Optional[NativePacket]:
-        """Queue-head remix check used when a helper takes over a packet."""
-        if self.q1:
-            cand = self.q1[0].pkt
-            if (cand.next_hop != pkt.next_hop
-                    and bend_mixable(pkt, cand, self.nbrs)
-                    and self._pair_evidence(pkt, cand)):
-                entry = self.q1.popleft()
-                self._queued.discard(entry.pkt.id)
-                return entry.pkt
-        if self.q2:
-            entry = self.q2[0]
-            cand = replace(entry.pkt, next_hop=entry.onward)
-            if (cand.next_hop != pkt.next_hop
-                    and bend_mixable(pkt, cand, self.nbrs)
-                    and self._pair_evidence(pkt, cand)):
-                self.q2.popleft()
-                self._queued.discard(entry.pkt.id)
-                self.helper_timers.pop(entry.pkt.id, None)
-                return cand
-        return None
 
     # ------------------------------------------------------------- egress
 
@@ -705,8 +632,7 @@ class NodeState:
             for n in m.natives:
                 self._queued.discard(n.id)
             self._serve_mix_next = False
-            return TxIntent(self._build_data_frame(m.coded), m.natives,
-                            m.retx_count)
+            return TxIntent(self._build_data_frame(m.coded), m.natives, 0)
         if not q1_ok:
             return None
         self._serve_mix_next = True
@@ -724,52 +650,45 @@ class NodeState:
             if len(chosen) > 1:
                 chosen_ids = {p.id for p in chosen[1:]}
                 riders = [e for e in self.q1 if e.pkt.id in chosen_ids]
-                keep = [e for e in self.q1 if e.pkt.id not in chosen_ids]
-                self.q1.clear()
-                self.q1.extend(keep)
-                for e in riders:
-                    self._queued.discard(e.pkt.id)
+                self.q1 = deque(e for e in self.q1
+                                if e.pkt.id not in chosen_ids)
+                self._queued.difference_update(chosen_ids)
         elif proto in (Protocol.BEND, Protocol.FLEXONC):
-            rider = self._find_mix_partner(head)
+            rider = self._take_partner(head, heads_only=False)
             if rider is not None:
                 riders = [rider]
 
         retx_count = int(head_entry.retx) + sum(int(e.retx) for e in riders)
-        natives = [head] + [
-            (e.pkt if e.onward is None else replace(e.pkt, next_hop=e.onward))
-            for e in riders
-        ]
-        natives_tx = tuple(self._stamp_for_tx(p) for p in natives)
-        if len(natives_tx) > 1:
-            coded = encode(natives_tx, self.node_id)
-            return TxIntent(self._build_data_frame(coded), natives_tx, retx_count)
-        return TxIntent(self._build_data_frame(natives_tx[0]), natives_tx,
-                        retx_count)
+        natives = tuple(self._stamp_for_tx(p)
+                        for p in [head] + [e.pkt for e in riders])
+        body = encode(natives, self.node_id) if len(natives) > 1 else natives[0]
+        return TxIntent(self._build_data_frame(body), natives, retx_count)
 
     def _pair_evidence(self, a: NativePacket, b: NativePacket) -> bool:
         """Each receiver is believed to hold the packet it must peel off."""
         know = self.knowledge
         return know.knows(a.next_hop, b.id) and know.knows(b.next_hop, a.id)
 
-    def _find_mix_partner(self, head: NativePacket) -> Optional[QueueEntry]:
-        for i, e in enumerate(self.q1):
-            if e.pkt.next_hop == head.next_hop:
-                continue
-            if (bend_mixable(head, e.pkt, self.nbrs)
-                    and self._pair_evidence(head, e.pkt)):
-                del self.q1[i]
-                self._queued.discard(e.pkt.id)
-                return e
-        for i, e in enumerate(self.q2):
-            if e.onward is None or e.onward == head.next_hop:
-                continue
-            cand = replace(e.pkt, next_hop=e.onward)
-            if (bend_mixable(head, cand, self.nbrs)
-                    and self._pair_evidence(head, cand)):
-                del self.q2[i]
-                self._queued.discard(e.pkt.id)
-                self.helper_timers.pop(e.pkt.id, None)
-                return e
+    def _take_partner(self, pkt: NativePacket,
+                      heads_only: bool) -> Optional[QueueEntry]:
+        """Pop the first queued packet that may ride one coded frame with
+        `pkt`: q1 in order, then the natives parked in q2 behind helper
+        timers, redirected to their onward hop with the timer dropped.
+        `heads_only` looks at each queue's head alone."""
+        for q in (self.q1, self.q2):
+            for i, e in enumerate(q):
+                if i and heads_only:
+                    break
+                cand = e.pkt if e.onward is None else replace(e.pkt, next_hop=e.onward)
+                if (cand.next_hop != pkt.next_hop
+                        and bend_mixable(pkt, cand, self.nbrs)
+                        and self._pair_evidence(pkt, cand)):
+                    del q[i]
+                    self._queued.discard(cand.id)
+                    if q is self.q2:
+                        self.helper_timers.pop(cand.id, None)
+                        e = QueueEntry(cand, e.eligible_at, e.retx)
+                    return e
         return None
 
     def after_transmit(self, intent: TxIntent, end: float) -> list[Action]:
@@ -778,8 +697,7 @@ class NodeState:
                                         self.deg, self.params.timers)
         actions: list[Action] = []
         for native in intent.natives:
-            self.pending[native.id] = PendingEntry(
-                pkt=native, deadline=deadline, coded=intent.n_components > 1)
+            self.pending[native.id] = PendingEntry(pkt=native, deadline=deadline)
             self.retries.setdefault(native.id, self.params.retry_limit)
             actions.append(StartTimer(TIMER_PENDING, native.id, deadline))
             if self.protocol != Protocol.PLAIN:

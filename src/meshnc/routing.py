@@ -3,12 +3,14 @@
 Routing is modeled as the converged state of a distance-vector protocol over
 a static topology: minimum-hop routes with ties broken by lowest next-hop id.
 Each node additionally holds a copy of every neighbor's table so it can
-answer "next hop from neighbor m toward d" locally.
+answer "next hop from neighbor m toward d" locally. `check_flows` is the one
+test that a set of flows can be routed at all.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .channel import Topology
 from .core import NodeId
@@ -25,8 +27,6 @@ class ForwardingTables:
     adjacency: dict[NodeId, frozenset[NodeId]] = field(default_factory=dict)
     # hops[n][dst]: route length in hops; absent when unreachable.
     hops: dict[NodeId, dict[NodeId, int]] = field(default_factory=dict)
-    # Bookkeeping only: table bytes a real protocol would exchange at setup.
-    table_bytes_exchanged: int = 0
 
     def hop_count(self, n: NodeId, dst: NodeId) -> int:
         if n == dst:
@@ -61,12 +61,22 @@ def build_forwarding_tables(topo: Topology) -> ForwardingTables:
             hops[n][dst] = dist[n]
 
     copies = {n: {m: own[m] for m in sorted(adj[n])} for n in ids}
-    entry_bytes = 8  # (dst, next_hop) pair
-    exchanged = sum(
-        len(own[m]) * entry_bytes for n in ids for m in adj[n]
-    )
     return ForwardingTables(own=own, neighbor_copies=copies, adjacency=adj,
-                            hops=hops, table_bytes_exchanged=exchanged)
+                            hops=hops)
+
+
+def check_flows(topo: Topology, tables: ForwardingTables,
+                flows: Iterable) -> None:
+    """Reject a flow with an endpoint missing from the topology, a source
+    equal to its destination, or no route; the ValueError names the flow."""
+    for fl in flows:
+        if fl.src not in topo or fl.dst not in topo:
+            raise ValueError(f"flow endpoint not in topology: {fl}")
+        if fl.src == fl.dst:
+            raise ValueError(f"flow source equals destination: {fl}")
+        if fl.dst not in tables.own[fl.src]:
+            raise ValueError(
+                f"no route between flow endpoints {fl.src} and {fl.dst}")
 
 
 def next_hop(tables: ForwardingTables, n: NodeId, dst: NodeId) -> NodeId:

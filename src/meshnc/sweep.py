@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import statistics
+from contextlib import nullcontext
 from dataclasses import dataclass
 from multiprocessing import Pool
 
@@ -84,28 +85,20 @@ def _worker(args) -> list[dict]:
 
 def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
               progress=None) -> list[dict]:
-    """Run every (protocol, ber, seed) cell; rows come back in sweep order."""
+    """Run every (protocol, ber, seed) cell, in a pool of `jobs` processes
+    when jobs > 1; rows come back in sweep order."""
     cells = sweep_cells(cfg)
-    results: list[list[dict]] = []
-    if jobs > 1:
-        with Pool(processes=jobs) as pool:
-            it = pool.imap(_worker, [(cfg, c) for c in cells])
-            for i, cell in enumerate(cells):
-                try:
-                    results.append(next(it))
-                except Exception as exc:
-                    raise RuntimeError(_cell_error(cell, exc)) from exc
-                if progress:
-                    progress(i + 1, len(cells), cell)
-    else:
+    rows: list[dict] = []
+    with Pool(processes=jobs) if jobs > 1 else nullcontext() as pool:
+        results = (pool.imap if pool else map)(_worker, [(cfg, c) for c in cells])
         for i, cell in enumerate(cells):
             try:
-                results.append(run_cell(cfg, cell))
+                rows.extend(next(results))
             except Exception as exc:
                 raise RuntimeError(_cell_error(cell, exc)) from exc
             if progress:
                 progress(i + 1, len(cells), cell)
-    return [row for rows in results for row in rows]
+    return rows
 
 
 def _cell_error(cell: Cell, exc: Exception) -> str:
@@ -124,17 +117,6 @@ def rows_to_csv(rows: list[dict], header: list[str]) -> str:
 def write_runs_csv(rows: list[dict], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(rows_to_csv(rows, RUNS_HEADER))
-
-
-def mean_cell_throughput(rows: list[dict]) -> dict[tuple[str, str, str], float]:
-    """Mean aggregate throughput per (scenario, protocol, ber) across seeds."""
-    samples: dict[tuple[str, str, str], list[float]] = {}
-    for row in rows:
-        if row["flow"] != "total":
-            continue
-        key = (row["scenario"], row["protocol"], row["ber"])
-        samples.setdefault(key, []).append(float(row["throughput_bps"]))
-    return {key: statistics.fmean(vals) for key, vals in samples.items()}
 
 
 def cell_stats(rows: list[dict]) -> list[dict]:
@@ -160,7 +142,8 @@ def gain_table(rows: list[dict],
                baselines: tuple[str, ...] = ("bend", "cope", "plain"),
                ) -> list[dict]:
     """Percentage throughput gain of flexonc over each baseline per BER."""
-    means = mean_cell_throughput(rows)
+    means = {(s["scenario"], s["protocol"], s["ber"]): s["mean_bps"]
+             for s in cell_stats(rows)}
     scenarios = sorted({s for s, _, _ in means})
     out = []
     for scenario in scenarios:

@@ -74,15 +74,17 @@ class TestCollision:
         assert metrics.tx_data == 2 * (1 + sc.params.retry_limit)
 
     def test_sole_overhearers_still_receive_under_tie(self):
-        # The destinations each hear only one of the tied sources, so the
-        # overheard uplinks still land in their pools (observable via the
-        # flexonc rescue machinery being possible later; here we just check
-        # no crash and zero delivery).
+        # Every data frame collides at relay 2, which hears both tied
+        # sources; each destination hears only the opposite source, so the
+        # overheard uplink still lands in its pool.
         sc = x_scenario(Protocol.FLEXONC, pairs=1)
         sim = Simulation(sc, seed=1)
         sim.rng = RiggedRandom()
-        metrics = sim.run()
-        assert metrics.duplicate_deliveries == 0
+        sim.run()
+        a, b = PayloadId(0, 0), PayloadId(1, 0)
+        assert b in sim.nodes[3].pool
+        assert a in sim.nodes[4].pool
+        assert a not in sim.nodes[2].pool and b not in sim.nodes[2].pool
 
 
 class TestCbrSource:

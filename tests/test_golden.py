@@ -1,0 +1,59 @@
+"""Golden output: two short sweeps whose runs.csv and gains.csv bytes are
+pinned by sha256.
+
+A refactor that claims "same bytes" must leave both digests unchanged; a
+deliberate model change must update them and say why in CHANGES.md. The two
+sweeps go through the product path (parse_config -> run_sweep -> rows_to_csv)
+and take about 8 s together on one core.
+"""
+import hashlib
+
+import pytest
+
+from meshnc import gain_table, parse_config, run_sweep
+from meshnc.sweep import GAINS_HEADER, RUNS_HEADER, rows_to_csv
+
+EIGHT_NODE = """
+name = e8
+topology = eight_node
+protocols = plain, cope, bend, flexonc
+bers = 2e-6, 5e-5, 2e-4
+seeds = 1, 2
+flow = 0, 4, 0.07, 10
+flow = 4, 0, 0.07, 10
+"""
+
+# The stock grid5 src/dst pairs (four column flows, then four row flows).
+GRID5 = """
+name = g5
+topology = grid5
+protocols = plain, cope, bend, flexonc
+bers = 2e-6, 1e-4
+seeds = 1
+""" + "".join(f"flow = {src}, {dst}, 0.1, 10\n" for src, dst in (
+    (0, 20), (21, 1), (2, 22), (23, 3), (0, 4), (9, 5), (10, 14), (19, 15)))
+
+GOLDEN = {
+    "eight_node": (
+        EIGHT_NODE,
+        "7705007245ea9540d8d3743d83e185eedeae9f4de3ca0a432adea89a57733642",
+        "2ebb42684b3fac5529becf49fa0625b5c5b8cf449713cade4021ef730b2d08b7",
+    ),
+    "grid5": (
+        GRID5,
+        "2f94c619f3955d2fd2deba7ffe6c7b87cff389173d9bb82a0dd631176a706281",
+        "d7f3ae6a5138639f429387c998e0c25f68ee60e2bc992a6f38a861360a3476eb",
+    ),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_sweep_output_matches_pinned_digest(label):
+    text, runs_digest, gains_digest = GOLDEN[label]
+    rows = run_sweep(parse_config(text), jobs=1)
+    assert sha256(rows_to_csv(rows, RUNS_HEADER)) == runs_digest
+    assert sha256(rows_to_csv(gain_table(rows), GAINS_HEADER)) == gains_digest

@@ -214,6 +214,28 @@ class TestTimerHandling:
         assert node.q1[0].pkt.next_hop == 3  # next hop from node 2 toward 4
         assert node.q1[0].pkt.payload == fwd.payload
 
+    @pytest.mark.xfail(strict=True, reason="the helper's remix moves the "
+                       "q1 partner into the mixing queue but re-adds only "
+                       "the helped payload to _queued")
+    def test_helper_remix_keeps_both_payloads_queued(self, ctx):
+        node = make_node(ctx, 6, Protocol.FLEXONC)
+        fwd, rev = example_pair()
+        node._pool_add(rev.id, rev.payload, 0.0)
+        (timer,) = timers_of(
+            node.on_data_frame(data_frame(encode([fwd, rev], sender=1)), 1.0),
+            TIMER_HELPER)
+        # A reverse packet from node 3 toward node 2 heads q1; once node 6
+        # takes fwd over (onward hop 3), the two mix, and each receiver is
+        # believed to hold the other's packet.
+        head = native(1, 8, src=4, dst=0, prev=3, nxt=2)
+        node.q1.append(QueueEntry(head, 0.0))
+        node._queued.add(head.id)
+        node.knowledge.add(3, head.id)
+        node.knowledge.add(2, fwd.id)
+        node.on_timer(TIMER_HELPER, fwd.id, now=timer.at)
+        assert [n.id for n in node.mixing_q[0].natives] == [fwd.id, head.id]
+        assert {fwd.id, head.id} <= node._queued
+
     def test_exhausted_retries_drop(self, ctx):
         node = make_node(ctx, 1, Protocol.PLAIN)
         pkt = native(0, 3, src=0, dst=4, prev=1, nxt=2)

@@ -4,7 +4,9 @@ from collections import deque
 import pytest
 
 from meshnc import (
+    Flow,
     RoutingError,
+    Topology,
     build_forwarding_tables,
     build_topology,
     grid_id,
@@ -13,6 +15,7 @@ from meshnc import (
     next_hop,
     second_next_hop,
 )
+from meshnc.routing import check_flows
 
 
 def bfs_distances(topo, dst):
@@ -148,3 +151,17 @@ class TestSecondNextHop:
                 nh = next_hop(t, n, dst)
                 expected = dst if nh == dst else next_hop(t, nh, dst)
                 assert second_next_hop(t, n, dst) == expected
+
+
+class TestCheckFlows:
+    @pytest.mark.parametrize("flow, message", [
+        (Flow(0, 9, 0.1, 1.0), "not in topology"),
+        (Flow(1, 1, 0.1, 1.0), "equals destination"),
+        (Flow(0, 2, 0.1, 1.0), "no route"),
+    ])
+    def test_rejects_unroutable_flow(self, flow, message):
+        topo = Topology({0: (0.0, 0.0), 1: (200.0, 0.0), 2: (1000.0, 0.0)})
+        tables = build_forwarding_tables(topo)
+        check_flows(topo, tables, (Flow(0, 1, 0.1, 1.0),))
+        with pytest.raises(ValueError, match=message):
+            check_flows(topo, tables, (Flow(0, 1, 0.1, 1.0), flow))

@@ -129,6 +129,38 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("topology = eight_node\nnode = 0, 0, 0\n")
 
+    @pytest.mark.parametrize("text", [
+        "topology = eight_node\nseeds = 1\nnode = 0, 0, 0\n",
+        "node = 0, 0, 0\nseeds = 1\ntopology = eight_node\n",
+    ])
+    def test_topology_node_conflict_names_later_line(self, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("text", [
+        "seeds = 1\n",
+        "node = 0, 0, 0\nnode = 1, 200, 0\n",
+    ])
+    def test_missing_section_error_has_no_line(self, text):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line_no is None
+        assert not str(err.value).startswith("line ")
+
+    @pytest.mark.parametrize("flow", ["0, 9, 0.1, 5", "2, 2, 0.1, 5"])
+    def test_bad_flow_endpoint_names_flow_line(self, flow):
+        text = f"topology = x_topo\nflow = 0, 3, 0.1, 5\nflow = {flow}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line_no == 3
+
+    def test_unroutable_flow_names_flow_line(self):
+        text = "node = 0, 0, 0\nnode = 1, 1000, 0\n\nflow = 0, 1, 0.1, 10\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line_no == 4
+
     def test_duplicate_node_id(self):
         with pytest.raises(ConfigError):
             parse_config("node = 0,0,0\nnode = 0,1,1\nflow = 0,0,1,1\n")
