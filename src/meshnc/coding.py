@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import CodedComponent, CodedPacket, NativePacket, NodeId, PayloadId, Protocol, decodable
 from .routing import ForwardingTables, RoutingError, neighbor_next_hop
@@ -35,27 +35,53 @@ class NeighborKnowledge:
     inference. Each neighbor keeps at most `cap` entries, oldest evicted
     first; that cap is the only way entries leave during a run, since the
     node runtime never calls `prune`.
+
+    The node runtime makes one batched update per received frame: `merge`
+    records many payloads at one neighbor (a reception report plus the
+    frame's own payloads), and `add_to_all` records one payload at many
+    neighbors (broadcast inference). Both leave exactly the state that one
+    `add` per entry, in iteration order, would leave: the same keys in the
+    same order per neighbor, hence the same evictions.
     """
 
     __slots__ = ("_held", "cap")
 
     def __init__(self, cap: int = 256):
+        if cap < 0:
+            raise ValueError("knowledge cap must be non-negative")
         self._held: dict[NodeId, OrderedDict[PayloadId, float]] = {}
         self.cap = cap
 
     def add(self, neighbor: NodeId, pid: PayloadId, now: float = 0.0) -> None:
+        self.add_to_all((neighbor,), pid, now)
+
+    def merge(self, neighbor: NodeId, pids: Sequence[PayloadId],
+              now: float = 0.0) -> None:
         entries = self._held.get(neighbor)
         if entries is None:
+            if not pids:
+                return
             entries = self._held[neighbor] = OrderedDict()
-        entries[pid] = now
-        entries.move_to_end(pid)
-        if len(entries) > self.cap:
+        to_end = entries.move_to_end
+        for pid in pids:
+            entries[pid] = now
+            to_end(pid)
+        # Keeping the `cap` most recently added entries once, at the end,
+        # evicts exactly what evicting after every entry would have.
+        while len(entries) > self.cap:
             entries.popitem(last=False)
 
-    def merge(self, neighbor: NodeId, pids: Iterable[PayloadId],
-              now: float = 0.0) -> None:
-        for pid in pids:
-            self.add(neighbor, pid, now)
+    def add_to_all(self, neighbors: Iterable[NodeId], pid: PayloadId,
+                   now: float = 0.0) -> None:
+        held, cap = self._held, self.cap
+        for neighbor in neighbors:
+            entries = held.get(neighbor)
+            if entries is None:
+                entries = held[neighbor] = OrderedDict()
+            entries[pid] = now
+            entries.move_to_end(pid)
+            if len(entries) > cap:
+                entries.popitem(last=False)
 
     def knows(self, neighbor: NodeId, pid: PayloadId) -> bool:
         entries = self._held.get(neighbor)

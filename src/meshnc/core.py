@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
 NodeId = int
 
@@ -27,9 +27,13 @@ class CodingError(ValueError):
     """Raised when packets violate the coding rules (e.g. duplicate next hops)."""
 
 
-@dataclass(frozen=True, slots=True)
-class PayloadId:
-    """Identity of one generated datagram: (flow index, sequence number)."""
+class PayloadId(NamedTuple):
+    """Identity of one generated datagram: (flow index, sequence number).
+
+    A tuple, so hashing and equality run in C on the hot path. Its hash
+    must stay `hash((flow, seq))`: set iteration order over payload ids
+    follows it and reaches the output.
+    """
     flow: int
     seq: int
 

@@ -147,7 +147,7 @@ class NodeState:
         self._pool_stamps: dict[PayloadId, float] = {}
         self.recent_rx: deque[PayloadId] = deque(maxlen=8)
         self.ack_cache: deque[tuple[NodeId, PayloadId]] = deque()
-        self._acked_by: dict[PayloadId, set[NodeId]] = {}
+        self._acked_by: dict[PayloadId, dict[NodeId, int]] = {}
         self.pending: dict[PayloadId, PendingEntry] = {}
         self.retries: dict[PayloadId, int] = {}
         self.helper_timers: dict[PayloadId, HelperEntry] = {}
@@ -176,19 +176,26 @@ class NodeState:
         self.recent_rx.append(pid)
 
     def _ack_cache_add(self, sender: NodeId, pid: PayloadId) -> None:
-        self.ack_cache.append((sender, pid))
-        self._acked_by.setdefault(pid, set()).add(sender)
-        if len(self.ack_cache) > self.params.ack_cache_cap:
-            old_sender, old_pid = self.ack_cache.popleft()
-            remaining = any(
-                s == old_sender and p == old_pid for s, p in self.ack_cache
-            )
-            if not remaining:
-                senders = self._acked_by.get(old_pid)
-                if senders is not None:
-                    senders.discard(old_sender)
-                    if not senders:
-                        del self._acked_by[old_pid]
+        """Remember an ACK in the FIFO `ack_cache`. `_acked_by[pid]` counts
+        each sender's copies of (sender, pid) in the deque, so an eviction
+        retires the sender exactly when its pair's last copy leaves."""
+        cache, acked_by = self.ack_cache, self._acked_by
+        cache.append((sender, pid))
+        senders = acked_by.get(pid)
+        if senders is None:
+            acked_by[pid] = {sender: 1}
+        else:
+            senders[sender] = senders.get(sender, 0) + 1
+        if len(cache) > self.params.ack_cache_cap:
+            old_sender, old_pid = cache.popleft()
+            senders = acked_by[old_pid]
+            left = senders[old_sender] - 1
+            if left:
+                senders[old_sender] = left
+            else:
+                del senders[old_sender]
+                if not senders:
+                    del acked_by[old_pid]
 
     def _make_ack(self, pid: PayloadId) -> Ack:
         ack = Ack(ack_sender=self.node_id, payload=pid)
@@ -398,10 +405,9 @@ class NodeState:
             # this too unless the channel said otherwise; being wrong under
             # loss reproduces the optimistic coding decisions of the real
             # protocols.
-            know.add(tx, p.id, now)
-            for m in self.nbrs(tx):
-                if m != self.node_id:
-                    know.add(m, p.id, now)
+            me = self.node_id
+            know.add_to_all((tx, *(m for m in self.nbrs(tx) if m != me)),
+                            p.id, now)
 
         if p.next_hop == self.node_id:
             self._accept(p, now, 0.0, actions)
@@ -431,10 +437,10 @@ class NodeState:
             self._cede_custody(comp.id, comp.intended_next_hop)
             self._refresh_helper(comp.id, now, actions)
         if proto != Protocol.PLAIN:
-            know = self.knowledge
-            know.merge(c.sender, frame.reception_report, now)
-            for comp in c.components:
-                know.add(c.sender, comp.id, now)
+            self.knowledge.merge(
+                c.sender,
+                (*frame.reception_report, *(comp.id for comp in c.components)),
+                now)
             self._harvest_components(c, now)
 
         for i, comp in enumerate(c.components):
@@ -472,9 +478,7 @@ class NodeState:
         sender = ack.ack_sender
         pid = ack.payload
         if self.protocol != Protocol.PLAIN:
-            know = self.knowledge
-            know.merge(sender, report, now)
-            know.add(sender, pid, now)
+            self.knowledge.merge(sender, (*report, pid), now)
         sender_hood = self.nbrs(sender)
 
         entry = self.pending.get(pid)

@@ -140,6 +140,52 @@ class TestCopeSelect:
         assert len(got) == 4
 
 
+class TestNeighborKnowledge:
+    @staticmethod
+    def state(know):
+        """Every neighbor's entries in key order: what eviction reads."""
+        return [(n, list(entries.items())) for n, entries in know._held.items()]
+
+    _pids = st.builds(PayloadId, st.integers(0, 1), st.integers(0, 3))
+    _ops = st.one_of(
+        st.tuples(st.just("merge"), st.integers(0, 3),
+                  st.lists(_pids, max_size=8).map(tuple)),
+        st.tuples(st.just("fan_out"),
+                  st.lists(st.integers(0, 3), max_size=5).map(tuple), _pids),
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(cap=st.integers(0, 4), ops=st.lists(_ops, max_size=30))
+    def test_batched_updates_match_one_add_per_entry(self, cap, ops):
+        # A small payload space and small caps make reports repeat entries
+        # and evict on most updates. `model` is the cap-bounded
+        # recency list that `add` must keep, written out by hand.
+        batched, single = NeighborKnowledge(cap), NeighborKnowledge(cap)
+        model: dict = {}
+
+        def model_add(neighbor, pid, now):
+            entries = model.setdefault(neighbor, [])
+            entries[:] = [e for e in entries if e[0] != pid] + [(pid, now)]
+            del entries[:max(0, len(entries) - cap)]
+
+        for now, (kind, a, b) in enumerate(ops):
+            if kind == "merge":
+                batched.merge(a, b, float(now))
+                pairs = [(a, pid) for pid in b]
+            else:
+                batched.add_to_all(a, b, float(now))
+                pairs = [(neighbor, b) for neighbor in a]
+            for neighbor, pid in pairs:
+                single.add(neighbor, pid, float(now))
+                model_add(neighbor, pid, float(now))
+            assert self.state(batched) == self.state(single)
+            assert self.state(single) == list(model.items())
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(ValueError):
+            NeighborKnowledge(-1)
+
+
 class TestBendMixable:
     def test_chain_relay_pair(self, eight):
         _, _, nbrs = eight

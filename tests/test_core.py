@@ -21,6 +21,20 @@ def native(flow, seq, nxt, prev=9, src=9, dst=99, payload=b""):
                         prev_hop=prev, next_hop=nxt, payload=payload)
 
 
+class TestPayloadId:
+    @given(st.integers(-2**40, 2**40), st.integers(-2**40, 2**40))
+    def test_hashes_as_its_field_tuple(self, flow, seq):
+        # Set and dict iteration order follows hash values and insertion
+        # order. A frozen dataclass of (flow, seq) hashed as
+        # hash((flow, seq)); the tuple hashes the same, so every set of
+        # payload ids iterates in the same order as before, and runs.csv
+        # stays byte-identical.
+        pid = PayloadId(flow, seq)
+        assert hash(pid) == hash((flow, seq))
+        assert (pid.flow, pid.seq) == (flow, seq)
+        assert pid == PayloadId(flow=flow, seq=seq)
+
+
 class TestXorPayloads:
     def test_self_inverse(self):
         assert xor_payloads(b"\x42\x17", b"\x42\x17") == b"\x00\x00"

@@ -1,5 +1,9 @@
 """Receiver/sender state machine: admission, ACK handling, timers, egress."""
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshnc import (
     Ack,
@@ -196,6 +200,27 @@ class TestAckHandling:
         for seq in range(200):
             node._ack_cache_add(3, PayloadId(0, seq))
         assert len(node.ack_cache) == PARAMS.ack_cache_cap
+
+    @pytest.mark.parametrize("cap", [0, 1, 64])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_acked_by_tracks_the_cached_pairs(self, ctx, cap, data):
+        # Few senders and payload ids, so pairs repeat and an eviction
+        # often leaves another copy of the evicted pair in the cache; the
+        # stream runs past the cap so that evictions happen at every cap.
+        stream = data.draw(st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 3)),
+            min_size=cap, max_size=2 * cap + 20))
+        node = make_node(ctx, 2, Protocol.PLAIN,
+                         replace(PARAMS, ack_cache_cap=cap))
+        for sender, flow, seq in stream:
+            node._ack_cache_add(sender, PayloadId(flow, seq))
+            assert len(node.ack_cache) <= cap
+            expected: dict = {}
+            for s, pid in node.ack_cache:
+                expected.setdefault(pid, set()).add(s)
+            assert {pid: set(senders) for pid, senders
+                    in node._acked_by.items()} == expected
 
 
 class TestTimerHandling:
