@@ -6,7 +6,6 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .core import Protocol
 from .engine import run as run_one
 from .sweep import (
     cell_stats,
@@ -81,7 +80,9 @@ def _cmd_sweep(args) -> int:
     runs_path = os.path.join(args.out_dir, "runs.csv")
     gains_path = os.path.join(args.out_dir, "gains.csv")
     write_runs_csv(rows, runs_path)
-    gains = gain_table(read_runs_csv(runs_path)) if _has_all_baselines(cfg) else []
+    baselines = _baselines({r["protocol"] for r in rows})
+    gains = (gain_table(read_runs_csv(runs_path), baselines=baselines)
+             if baselines else [])
     if gains:
         write_gains_csv(gains, gains_path)
     for stat in cell_stats(rows):
@@ -92,16 +93,18 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _has_all_baselines(cfg) -> bool:
-    have = set(cfg.protocols)
-    return Protocol.FLEXONC in have and len(have) > 1
+def _baselines(protocols: set[str]) -> tuple[str, ...]:
+    """The baselines present among `protocols` that flexonc's gains can be
+    computed against; none without flexonc."""
+    if "flexonc" not in protocols:
+        return ()
+    return tuple(p for p in ("bend", "cope", "plain") if p in protocols)
 
 
 def _cmd_gains(args) -> int:
     rows = read_runs_csv(args.runs_csv)
-    protocols = {r["protocol"] for r in rows}
-    baselines = tuple(p for p in ("bend", "cope", "plain") if p in protocols)
-    if "flexonc" not in protocols or not baselines:
+    baselines = _baselines({r["protocol"] for r in rows})
+    if not baselines:
         print("runs.csv lacks flexonc rows or any baseline rows", file=sys.stderr)
         return 1
     gains = gain_table(rows, baselines=baselines)

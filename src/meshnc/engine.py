@@ -23,7 +23,7 @@ from typing import Optional
 
 from .channel import ChannelParams, sample_reception
 from .core import Ack, Frame, NativePacket, PayloadId, ack_frame_bits
-from .node import Metrics, NodeState, SendAck, StartTimer, TxIntent, TIMER_WAKEUP
+from .node import Metrics, NodeState, SendAck, StartTimer, TxIntent
 from .params import Scenario
 from .routing import build_forwarding_tables, check_flows, next_hop
 
@@ -33,7 +33,6 @@ E_FRAME_END = 2
 E_ACK_TX = 3
 E_ACK_END = 4
 E_TIMER = 5
-E_WAKEUP = 6
 
 MAX_EVENTS = 100_000_000
 
@@ -140,10 +139,7 @@ class Simulation:
                 due = self.now + self.params.turnaround + act.extra_delay
                 self._schedule(due, E_ACK_TX, nid, act.ack)
             elif type(act) is StartTimer:
-                if act.kind == TIMER_WAKEUP:
-                    self._schedule(act.at, E_WAKEUP, nid)
-                else:
-                    self._schedule(act.at, E_TIMER, nid, (act.kind, act.key))
+                self._schedule(act.at, E_TIMER, nid, (act.kind, act.key))
 
     def _ack_window(self, intent: TxIntent) -> float:
         # Trailing turnaround keeps the next data grant strictly after the
@@ -191,9 +187,6 @@ class Simulation:
                 node = self.nodes[a]
                 self._apply(a, node.on_timer(b[0], b[1], t))
                 if node.ready(t):
-                    self._maybe_grant()
-            elif kind == E_WAKEUP:
-                if self.nodes[a].ready(t):
                     self._maybe_grant()
             elif kind == E_TRAFFIC:
                 self._on_traffic(a, b)

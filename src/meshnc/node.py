@@ -47,7 +47,7 @@ from .routing import ForwardingTables, RoutingError, neighbor_next_hop, next_hop
 
 TIMER_PENDING = 0
 TIMER_HELPER = 1
-TIMER_WAKEUP = 2
+TIMER_WAKEUP = 2  # no node work: the engine re-polls ready() when it fires
 
 
 @dataclass(slots=True)
@@ -142,6 +142,9 @@ class NodeState:
         self.q1: deque[QueueEntry] = deque()
         self.q2: deque[QueueEntry] = deque()
         self.mixing_q: deque[MixEntry] = deque()
+        # Ids of the payloads in q1, q2 and mixing_q, one copy each. An id
+        # joins when its payload enters the queues from outside and leaves
+        # when the payload is sent or dropped; moves between queues keep it.
         self._queued: set[PayloadId] = set()
         self.pool: OrderedDict[PayloadId, bytes] = OrderedDict()
         self._pool_stamps: dict[PayloadId, float] = {}
@@ -210,19 +213,16 @@ class NodeState:
         return (pid in self._queued or pid in self.pending
                 or pid in self.helper_timers or pid in self.delivered)
 
-    def _scan_queues(self) -> set[PayloadId]:
-        """Payloads in q1, q2 or the mixing queue, read off the queues."""
-        ids = {e.pkt.id for e in self.q1}
-        ids.update(e.pkt.id for e in self.q2)
-        for m in self.mixing_q:
-            ids.update(n.id for n in m.natives)
-        return ids
-
     def held_payloads(self) -> set[PayloadId]:
         """Payloads in this node's custody: queued in q1, q2 or the mixing
-        queue, awaiting an ACK, or behind a helper timer. The queues are
-        rescanned rather than trusting `_queued`, so this can check it."""
-        held = self._scan_queues()
+        queue, awaiting an ACK, or behind a helper timer. A payload has at
+        most one queued copy per node, and `_queued` indexes exactly those
+        copies; the queues are read here rather than trusting the index,
+        so this can check it."""
+        held = {e.pkt.id for e in self.q1}
+        held.update(e.pkt.id for e in self.q2)
+        for m in self.mixing_q:
+            held.update(n.id for n in m.natives)
         held.update(self.pending)
         held.update(self.helper_timers)
         return held
@@ -507,36 +507,29 @@ class NodeState:
         return []
 
     def _drop_buffered_on_ack(self, pid: PayloadId, sender: NodeId) -> None:
-        """Discard the queued copies of `pid` that an ACK from `sender`
-        proves obsolete, by the same rule `admit_packet` applies to cached
+        """Discard the one queued copy of `pid` if an ACK from `sender`
+        proves it obsolete, by the same rule `admit_packet` applies to cached
         ACKs. A looser rule loses payloads: two holders one hop short of the
-        same node would each drop their copy on the other's ACK."""
+        same node would each drop their copy on the other's ACK. A dropped
+        mix's other components move back to the head of q1 as natives."""
         progress = self._ack_shows_progress
-        dropped = False
         for q in (self.q1, self.q2):
-            keep = [e for e in q
-                    if not (e.pkt.id == pid and progress(sender, e.pkt))]
-            if len(keep) != len(q):
-                dropped = True
-                q.clear()
-                q.extend(keep)
-        new_mix: deque[MixEntry] = deque()
-        survivors: list[NativePacket] = []
-        for m in self.mixing_q:
-            hit = any(n.id == pid and progress(sender, n) for n in m.natives)
-            if not hit:
-                new_mix.append(m)
-                continue
-            dropped = True
-            survivors.extend(n for n in m.natives if n.id != pid)
-        if dropped:
-            self.mixing_q = new_mix
-            self._queued = self._scan_queues()
-            # Unwrap surviving components back into q1 as natives.
-            for n in survivors:
-                if n.id not in self._queued:
-                    self.q1.appendleft(QueueEntry(n, eligible_at=0.0))
-                    self._queued.add(n.id)
+            for i, e in enumerate(q):
+                if e.pkt.id == pid:
+                    if progress(sender, e.pkt):
+                        del q[i]
+                        self._queued.discard(pid)
+                    return
+        for i, m in enumerate(self.mixing_q):
+            for n in m.natives:
+                if n.id == pid:
+                    if progress(sender, n):
+                        del self.mixing_q[i]
+                        self._queued.discard(pid)
+                        for other in m.natives:
+                            if other.id != pid:
+                                self.q1.appendleft(QueueEntry(other, 0.0))
+                    return
 
     # --------------------------------------------------------------- timers
 
@@ -577,10 +570,7 @@ class NodeState:
         if pid in self.pending or pid in self.delivered:
             return []
         pkt = entry.pkt
-        if pkt is not None:
-            if pid in self._queued:
-                return []
-        else:
+        if pkt is None:
             for i, e in enumerate(self.q2):
                 if e.pkt.id == pid:
                     pkt = e.pkt
@@ -588,8 +578,10 @@ class NodeState:
                     break
             else:
                 return []  # mixed away or dropped since the timer was armed
-            self._queued.discard(pid)
+        elif pid in self._queued:
+            return []
         if len(self.q1) >= self.params.queue_cap:
+            self._queued.discard(pid)
             self.metrics.drops["helper_queue_full"] += 1
             return []
         forwarded = replace(pkt, next_hop=entry.onward, second_next_hop=None)
@@ -608,7 +600,8 @@ class NodeState:
             eligible = now + self.params.pairing_hold
             self.q1.append(QueueEntry(forwarded, eligible_at=eligible))
             actions.append(StartTimer(TIMER_WAKEUP, None, eligible))
-        self._queued.add(pid)
+        if entry.pkt is not None:  # a parked native only moved from q2
+            self._queued.add(pid)
         return actions
 
     # ------------------------------------------------------------- egress
@@ -633,8 +626,7 @@ class NodeState:
         q1_ok = bool(self.q1) and self.q1[0].eligible_at <= now + 1e-12
         if self.mixing_q and (self._serve_mix_next or not q1_ok):
             m = self.mixing_q.popleft()
-            for n in m.natives:
-                self._queued.discard(n.id)
+            self._queued.difference_update(n.id for n in m.natives)
             self._serve_mix_next = False
             return TxIntent(self._build_data_frame(m.coded), m.natives, 0)
         if not q1_ok:
@@ -642,7 +634,6 @@ class NodeState:
         self._serve_mix_next = True
 
         head_entry = self.q1.popleft()
-        self._queued.discard(head_entry.pkt.id)
         head = head_entry.pkt
         proto = self.protocol
 
@@ -656,7 +647,6 @@ class NodeState:
                 riders = [e for e in self.q1 if e.pkt.id in chosen_ids]
                 self.q1 = deque(e for e in self.q1
                                 if e.pkt.id not in chosen_ids)
-                self._queued.difference_update(chosen_ids)
         elif proto in (Protocol.BEND, Protocol.FLEXONC):
             rider = self._take_partner(head, heads_only=False)
             if rider is not None:
@@ -665,6 +655,7 @@ class NodeState:
         retx_count = int(head_entry.retx) + sum(int(e.retx) for e in riders)
         natives = tuple(self._stamp_for_tx(p)
                         for p in [head] + [e.pkt for e in riders])
+        self._queued.difference_update(n.id for n in natives)
         body = encode(natives, self.node_id) if len(natives) > 1 else natives[0]
         return TxIntent(self._build_data_frame(body), natives, retx_count)
 
@@ -678,7 +669,9 @@ class NodeState:
         """Pop the first queued packet that may ride one coded frame with
         `pkt`: q1 in order, then the natives parked in q2 behind helper
         timers, redirected to their onward hop with the timer dropped.
-        `heads_only` looks at each queue's head alone."""
+        `heads_only` looks at each queue's head alone. The partner keeps
+        its one queued copy's `_queued` entry; a caller that sends it,
+        rather than moving it to the mixing queue, retires the entry."""
         for q in (self.q1, self.q2):
             for i, e in enumerate(q):
                 if i and heads_only:
@@ -688,7 +681,6 @@ class NodeState:
                         and bend_mixable(pkt, cand, self.nbrs)
                         and self._pair_evidence(pkt, cand)):
                     del q[i]
-                    self._queued.discard(cand.id)
                     if q is self.q2:
                         self.helper_timers.pop(cand.id, None)
                         e = QueueEntry(cand, e.eligible_at, e.retx)

@@ -163,21 +163,37 @@ class TestConservation:
         m = run(sc, seed=5)
         assert m.duplicate_deliveries == 0
 
-    @pytest.mark.parametrize("seed", (1, 2))
-    @pytest.mark.parametrize("ber", (2e-6, 2e-5))
-    @pytest.mark.parametrize("protocol", list(Protocol),
-                             ids=lambda p: p.name.lower())
-    def test_every_lost_payload_is_counted_as_dropped(self, protocol, ber,
-                                                      seed):
-        # End-of-run payload fates on the eight-node mesh: a payload that
-        # no destination delivered and no node still holds (queued, awaiting
-        # an ACK, behind a helper timer, or on the air at the horizon) was
-        # lost, and each loss must have bumped a drop counter.
-        topo = build_topology("eight_node")
-        flows = tuple(Flow(f.src, f.dst, f.interval, 30.0)
-                      for f in default_flows("eight_node"))
-        sim = Simulation(Scenario("e8", topo, protocol, ber, flows), seed)
+    @pytest.mark.parametrize("kind, protocol, ber, seed", [
+        # Eight-node cases are named protocol-ber-seed, grid5 ones carry a
+        # "grid5-" prefix.
+        pytest.param(kind, protocol, ber, seed, id="-".join(
+            ([] if kind == "eight_node" else [kind])
+            + [protocol.name.lower(), str(ber), str(seed)]))
+        for kind in ("eight_node", "grid5")
+        for protocol in Protocol
+        for ber in (2e-6, 2e-5, 1e-4)
+        for seed in (1, 2)])
+    def test_every_lost_payload_is_counted_as_dropped(self, kind, protocol,
+                                                      ber, seed):
+        # End-of-run payload fates on the stock flows (30 s on the
+        # eight-node mesh, 10 s on grid5): a payload that no destination
+        # delivered and no node still holds (queued, awaiting an ACK, behind
+        # a helper timer, or on the air at the horizon) was lost, and each
+        # loss must have bumped a drop counter. Each node's queue index must
+        # also list exactly the payloads read off its queues, one copy each.
+        duration = 30.0 if kind == "eight_node" else 10.0
+        flows = tuple(Flow(f.src, f.dst, f.interval, duration)
+                      for f in default_flows(kind))
+        sim = Simulation(Scenario(kind, build_topology(kind), protocol, ber,
+                                  flows), seed)
         m = sim.run()
+        for nid, node in sim.nodes.items():
+            queued = [e.pkt.id for e in (*node.q1, *node.q2)]
+            queued += [n.id for mix in node.mixing_q for n in mix.natives]
+            assert len(queued) == len(set(queued)), f"node {nid} queues twice"
+            assert node._queued == set(queued), (
+                f"node {nid}: index and queues differ by "
+                f"{sorted(node._queued ^ set(queued))[:5]}")
         generated = {PayloadId(flow, k)
                      for flow, n in m.generated_count.items()
                      for k in range(n)}

@@ -36,13 +36,13 @@ seeds = 1
 GOLDEN = {
     "eight_node": (
         EIGHT_NODE,
-        "7705007245ea9540d8d3743d83e185eedeae9f4de3ca0a432adea89a57733642",
-        "2ebb42684b3fac5529becf49fa0625b5c5b8cf449713cade4021ef730b2d08b7",
+        "5dd4a5bd056f213f280b3b22bebaf2b5e0df821b6aedb500cce3fa4b508acaf7",
+        "a94ff54104f341d049377c826748c5efc4096edb0437f169d44b425f0bc1e2a4",
     ),
     "grid5": (
         GRID5,
-        "2f94c619f3955d2fd2deba7ffe6c7b87cff389173d9bb82a0dd631176a706281",
-        "d7f3ae6a5138639f429387c998e0c25f68ee60e2bc992a6f38a861360a3476eb",
+        "fa5e3658c5e4f3a29edc4be94bae16814559ff3aac08d446389500ec8a48c48a",
+        "ffbc3cfb2c6a9e0589779d234ab676275fc538829e560067678cf082b8fa1908",
     ),
 }
 

@@ -21,7 +21,6 @@ from meshnc import (
 from meshnc.core import data_frame_bits
 from meshnc.node import (
     NodeState,
-    QueueEntry,
     SendAck,
     StartTimer,
     TIMER_HELPER,
@@ -139,9 +138,8 @@ class TestAckHandling:
     def test_partial_pending_clear(self, ctx):
         node = make_node(ctx, 1, Protocol.BEND)
         fwd, rev = example_pair()
-        node.q1.append(QueueEntry(fwd, 0.0))
-        node.q1.append(QueueEntry(rev, 0.0))
-        node._queued.update({fwd.id, rev.id})
+        node.enqueue_source(fwd, 0.0)
+        node.enqueue_source(rev, 0.0)
         seed_pair_evidence(node, fwd, rev)
         intent = node.select_transmission(now=1.0)
         assert intent.n_components == 2
@@ -163,8 +161,7 @@ class TestAckHandling:
     def test_buffered_drop_when_acker_neighbors_next_hop(self, ctx):
         node = make_node(ctx, 2, Protocol.BEND)
         pkt = native(0, 9, src=0, dst=4, prev=1, nxt=3)
-        node.q1.append(QueueEntry(pkt, 0.0))
-        node._queued.add(pkt.id)
+        node.enqueue_source(pkt, 0.0)
         # Node 7 neighbors 3, so its ACK means the payload is downstream.
         node.on_ack(Ack(7, pkt.id), (), now=2.0)
         assert len(node.q1) == 0
@@ -179,8 +176,7 @@ class TestAckHandling:
         holders = {n: make_node(ctx, n, proto) for n in (3, 7)}
         pkt = native(0, 196, src=0, dst=4, prev=2, nxt=4)
         for node in holders.values():
-            node.q1.append(QueueEntry(pkt, 0.0))
-            node._queued.add(pkt.id)
+            node.enqueue_source(pkt, 0.0)
         holders[3].on_ack(Ack(7, pkt.id), (), now=2.0)
         holders[7].on_ack(Ack(3, pkt.id), (), now=2.0)
         for node in holders.values():
@@ -190,8 +186,7 @@ class TestAckHandling:
     def test_unrelated_ack_preserves_buffer(self, ctx):
         node = make_node(ctx, 2, Protocol.BEND)
         pkt = native(0, 9, src=0, dst=4, prev=1, nxt=3)
-        node.q1.append(QueueEntry(pkt, 0.0))
-        node._queued.add(pkt.id)
+        node.enqueue_source(pkt, 0.0)
         node.on_ack(Ack(5, pkt.id), (), now=2.0)  # 5 is not near node 3
         assert len(node.q1) == 1
 
@@ -239,9 +234,6 @@ class TestTimerHandling:
         assert node.q1[0].pkt.next_hop == 3  # next hop from node 2 toward 4
         assert node.q1[0].pkt.payload == fwd.payload
 
-    @pytest.mark.xfail(strict=True, reason="the helper's remix moves the "
-                       "q1 partner into the mixing queue but re-adds only "
-                       "the helped payload to _queued")
     def test_helper_remix_keeps_both_payloads_queued(self, ctx):
         node = make_node(ctx, 6, Protocol.FLEXONC)
         fwd, rev = example_pair()
@@ -253,8 +245,7 @@ class TestTimerHandling:
         # takes fwd over (onward hop 3), the two mix, and each receiver is
         # believed to hold the other's packet.
         head = native(1, 8, src=4, dst=0, prev=3, nxt=2)
-        node.q1.append(QueueEntry(head, 0.0))
-        node._queued.add(head.id)
+        node.enqueue_source(head, 0.0)
         node.knowledge.add(3, head.id)
         node.knowledge.add(2, fwd.id)
         node.on_timer(TIMER_HELPER, fwd.id, now=timer.at)
@@ -264,8 +255,7 @@ class TestTimerHandling:
     def test_exhausted_retries_drop(self, ctx):
         node = make_node(ctx, 1, Protocol.PLAIN)
         pkt = native(0, 3, src=0, dst=4, prev=1, nxt=2)
-        node.q1.append(QueueEntry(pkt, 0.0))
-        node._queued.add(pkt.id)
+        node.enqueue_source(pkt, 0.0)
         now = 0.0
         retx_flags = 0
         for _ in range(PARAMS.retry_limit + 1):
@@ -285,9 +275,8 @@ class TestTimerHandling:
         # ACK one, time the other out, and inspect the retransmitted frame.
         node = make_node(ctx, 1, Protocol.BEND)
         fwd, rev = example_pair()
-        node.q1.append(QueueEntry(fwd, 0.0))
-        node.q1.append(QueueEntry(rev, 0.0))
-        node._queued.update({fwd.id, rev.id})
+        node.enqueue_source(fwd, 0.0)
+        node.enqueue_source(rev, 0.0)
         seed_pair_evidence(node, fwd, rev)
         intent = node.select_transmission(0.0)
         assert isinstance(intent.frame.body, CodedPacket)
@@ -322,8 +311,7 @@ class TestTimerHandling:
     def test_stale_pending_timer_is_ignored(self, ctx):
         node = make_node(ctx, 1, Protocol.PLAIN)
         pkt = native(0, 3, src=0, dst=4, prev=1, nxt=2)
-        node.q1.append(QueueEntry(pkt, 0.0))
-        node._queued.add(pkt.id)
+        node.enqueue_source(pkt, 0.0)
         intent = node.select_transmission(0.0)
         node.after_transmit(intent, end=0.009)
         deadline = node.pending[pkt.id].deadline
@@ -378,9 +366,8 @@ class TestSelectTransmission:
     def test_mixable_pair_becomes_coded_with_next_hop_list(self, ctx):
         node = make_node(ctx, 1, Protocol.BEND)
         fwd, rev = example_pair()
-        node.q1.append(QueueEntry(fwd, 0.0))
-        node.q1.append(QueueEntry(rev, 0.0))
-        node._queued.update({fwd.id, rev.id})
+        node.enqueue_source(fwd, 0.0)
+        node.enqueue_source(rev, 0.0)
         seed_pair_evidence(node, fwd, rev)
         intent = node.select_transmission(0.0)
         body = intent.frame.body
@@ -396,8 +383,7 @@ class TestSelectTransmission:
     def test_unpaired_head_goes_native(self, ctx):
         node = make_node(ctx, 1, Protocol.BEND)
         fwd, _ = example_pair()
-        node.q1.append(QueueEntry(fwd, 0.0))
-        node._queued.add(fwd.id)
+        node.enqueue_source(fwd, 0.0)
         intent = node.select_transmission(0.0)
         body = intent.frame.body
         assert isinstance(body, NativePacket)
@@ -408,9 +394,8 @@ class TestSelectTransmission:
     def test_plain_never_pairs(self, ctx):
         node = make_node(ctx, 1, Protocol.PLAIN)
         fwd, rev = example_pair()
-        node.q1.append(QueueEntry(fwd, 0.0))
-        node.q1.append(QueueEntry(rev, 0.0))
-        node._queued.update({fwd.id, rev.id})
+        node.enqueue_source(fwd, 0.0)
+        node.enqueue_source(rev, 0.0)
         intent = node.select_transmission(0.0)
         assert isinstance(intent.frame.body, NativePacket)
 
@@ -424,8 +409,7 @@ class TestSelectTransmission:
     def test_flexonc_natives_carry_no_second_next_hop(self, ctx):
         node = make_node(ctx, 1, Protocol.FLEXONC)
         fwd, _ = example_pair()
-        node.q1.append(QueueEntry(fwd, 0.0))
-        node._queued.add(fwd.id)
+        node.enqueue_source(fwd, 0.0)
         intent = node.select_transmission(0.0)
         assert intent.frame.body.second_next_hop is None
 

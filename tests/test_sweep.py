@@ -156,6 +156,22 @@ class TestCli:
                      "--out-dir", str(redo)]) == 0
         assert (redo / "gains.csv").read_bytes() == original
 
+    def test_sweep_with_a_subset_of_baselines(self, tmp_path):
+        # Gains cover only the baselines the sweep ran, as `meshnc gains`
+        # computes them from the same runs.csv.
+        cfg = self.write_cfg(tmp_path, SMALL.replace(
+            "plain, cope, bend, flexonc", "plain, flexonc"))
+        out, redo = tmp_path / "results", tmp_path / "redo"
+        assert main(["sweep", cfg, "--out-dir", str(out), "--jobs", "1",
+                     "--quiet"]) == 0
+        os.makedirs(redo)
+        assert main(["gains", str(out / "runs.csv"),
+                     "--out-dir", str(redo)]) == 0
+        gains = (out / "gains.csv").read_bytes()
+        assert gains == (redo / "gains.csv").read_bytes()
+        rows = csv.DictReader(gains.decode().splitlines())
+        assert {r["base"] for r in rows} == {"plain"}
+
     def test_sweep_determinism_across_invocations(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"
