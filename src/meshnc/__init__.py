@@ -19,15 +19,13 @@ from .coding import (
     priority_list,
     sender_timeout,
 )
-from .config import ConfigError, ScenarioConfig, load_config, parse_config
+from .config import ConfigError, ScenarioConfig, parse_config
 from .core import (
     Ack,
-    CodedComponent,
     CodedPacket,
     CodingError,
     Frame,
     NativePacket,
-    NodeId,
     PayloadId,
     Protocol,
     decodable,
@@ -35,16 +33,14 @@ from .core import (
     encode,
     xor_payloads,
 )
-from .engine import Simulation, cbr_source, mac_grant, make_payload, run, throughput
-from .node import Metrics, NodeState
+from .engine import Simulation, mac_grant, make_payload, run, throughput
+from .node import Metrics
 from .params import Flow, Scenario, SimParams
 from .routing import (
-    ForwardingTables,
     RoutingError,
     build_forwarding_tables,
     neighbor_next_hop,
     next_hop,
-    second_next_hop,
 )
 from .scenarios import build_topology, default_flows, grid_id
 from .sweep import gain_table, run_sweep
@@ -52,16 +48,15 @@ from .sweep import gain_table, run_sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ack", "ChannelParams", "CodedComponent", "CodedPacket", "CodingError",
-    "ConfigError", "Flow", "ForwardingTables", "Frame", "Metrics",
-    "NativePacket", "NeighborKnowledge", "NodeId", "NodeState", "PayloadId",
-    "Protocol", "RoutingError", "Scenario", "ScenarioConfig", "SimParams",
-    "Simulation", "TimerParams", "bend_mixable", "build_forwarding_tables",
-    "build_topology", "cbr_source", "cope_select", "decodable", "decode",
-    "default_flows", "eligibility_failure", "encode", "flexonc_eligible",
-    "frame_loss_probability", "gain_table", "grid_id", "helper_hold_time",
-    "load_config", "mac_grant", "make_payload", "neighbor_next_hop",
+    "Ack", "ChannelParams", "CodedPacket", "CodingError", "ConfigError",
+    "Flow", "Frame", "Metrics", "NativePacket", "NeighborKnowledge",
+    "PayloadId", "Protocol", "RoutingError", "Scenario", "ScenarioConfig",
+    "SimParams", "Simulation", "TimerParams", "Topology", "bend_mixable",
+    "build_forwarding_tables", "build_topology", "cope_select", "decodable",
+    "decode", "default_flows", "eligibility_failure", "encode",
+    "flexonc_eligible", "frame_loss_probability", "gain_table", "grid_id",
+    "helper_hold_time", "mac_grant", "make_payload", "neighbor_next_hop",
     "neighbors", "next_hop", "parse_config", "priority_index",
     "priority_list", "run", "run_sweep", "sample_reception",
-    "second_next_hop", "sender_timeout", "throughput", "xor_payloads",
+    "sender_timeout", "throughput", "xor_payloads",
 ]

@@ -8,14 +8,14 @@ import sys
 from .config import ConfigError, load_config
 from .engine import run as run_one
 from .sweep import (
+    GAINS_HEADER,
+    RUNS_HEADER,
     cell_stats,
-    Cell,
     gain_table,
     read_runs_csv,
     rows_for_run,
     run_sweep,
-    write_gains_csv,
-    write_runs_csv,
+    write_csv,
 )
 
 
@@ -49,16 +49,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    protocol = cfg.protocols[0]
-    ber = cfg.bers[0]
     seed = args.seed if args.seed is not None else cfg.seeds[0]
-    scenario = cfg.scenario(protocol, ber)
+    scenario = cfg.scenario(cfg.protocols[0], cfg.bers[0])
     metrics = run_one(scenario, seed)
-    rows = rows_for_run(cfg.name, scenario, Cell(protocol, ber, seed), metrics)
+    rows = rows_for_run(scenario, seed, metrics)
     path = os.path.join(args.out_dir, "runs.csv")
-    write_runs_csv(rows, path)
-    total = [r for r in rows if r["flow"] == "total"][0]
-    print(f"protocol={protocol.name.lower()} ber={ber!r} seed={seed}")
+    write_csv(rows, RUNS_HEADER, path)
+    total = rows[-1]
+    print(f"protocol={total['protocol']} ber={total['ber']} seed={seed}")
     print(f"delivered_bytes={total['delivered_bytes']} "
           f"throughput_bps={total['throughput_bps']} "
           f"tx_total={total['tx_total']} tx_coded={total['tx_coded']} "
@@ -79,12 +77,12 @@ def _cmd_sweep(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     runs_path = os.path.join(args.out_dir, "runs.csv")
     gains_path = os.path.join(args.out_dir, "gains.csv")
-    write_runs_csv(rows, runs_path)
+    write_csv(rows, RUNS_HEADER, runs_path)
     baselines = _baselines({r["protocol"] for r in rows})
     gains = (gain_table(read_runs_csv(runs_path), baselines=baselines)
              if baselines else [])
     if gains:
-        write_gains_csv(gains, gains_path)
+        write_csv(gains, GAINS_HEADER, gains_path)
     for stat in cell_stats(rows):
         print(f"{stat['protocol']:>8} ber={stat['ber']:>7} "
               f"mean={stat['mean_bps']:12.1f} bps "
@@ -107,9 +105,12 @@ def _cmd_gains(args) -> int:
     if not baselines:
         print("runs.csv lacks flexonc rows or any baseline rows", file=sys.stderr)
         return 1
-    gains = gain_table(rows, baselines=baselines)
+    try:
+        gains = gain_table(rows, baselines=baselines)
+    except KeyError as exc:  # a BER without one of the baseline cells
+        raise ValueError(f"{args.runs_csv}: {exc.args[0]}") from None
     path = os.path.join(args.out_dir, "gains.csv")
-    write_gains_csv(gains, path)
+    write_csv(gains, GAINS_HEADER, path)
     print(f"wrote {path}")
     return 0
 

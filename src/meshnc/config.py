@@ -125,8 +125,10 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
                 nodes[nid] = (float(x_s), float(y_s))
             elif key == "flow":
                 src, dst, interval, duration = (v.strip() for v in value.split(","))
-                flows.append(Flow(int(src), int(dst), float(interval),
-                                  float(duration)))
+                fl = Flow(int(src), int(dst), float(interval), float(duration))
+                if not fl.duration > 0:  # throughput needs a positive span
+                    raise ConfigError(line_no, "flow duration must be positive")
+                flows.append(fl)
                 flow_lines.append(line_no)
             elif key == "protocol":
                 cfg.protocols = (_parse_protocol(value, line_no),)
@@ -168,10 +170,10 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
     cfg.explicit_nodes = nodes
     if flows:
         cfg.flows = tuple(flows)
+    if timer_overrides:
+        param_overrides["timers"] = replace(cfg.params.timers, **timer_overrides)
     if param_overrides:
         cfg.params = replace(cfg.params, **param_overrides)
-    if timer_overrides:
-        cfg.params = cfg.params.with_timers(**timer_overrides)
     if cfg.topology_kind is None and not nodes:
         raise ConfigError(None, "config needs a 'topology' or explicit 'node' lines")
     if cfg.topology_kind is None and not cfg.flows:

@@ -49,19 +49,6 @@ def make_payload(pid: PayloadId, size: int) -> bytes:
     return (word * reps)[:size]
 
 
-def cbr_source(flow_index: int, interval: float, duration: float) -> list[tuple[float, int]]:
-    """Datagram emission times of one constant-rate source: k*interval < duration."""
-    out = []
-    k = 0
-    while True:
-        t = k * interval
-        if t >= duration:
-            break
-        out.append((t, k))
-        k += 1
-    return out
-
-
 def mac_grant(contenders: list[int], now: float, rng: random.Random,
               slot_time: float, cw: int) -> tuple[list[int], float]:
     """Resolve one contention round.
@@ -240,13 +227,9 @@ class Simulation:
             return
         winners, start = mac_grant(contenders, self.now, self.rng,
                                    self.params.slot_time, self.params.cw)
-        intents: list[tuple[int, TxIntent]] = []
-        for w in winners:
-            intent = self.nodes[w].select_transmission(start)
-            if intent is not None:
-                intents.append((w, intent))
-        if not intents:
-            return
+        # Every winner was ready at now <= start, so each has an intent.
+        intents = [(w, self.nodes[w].select_transmission(start))
+                   for w in winners]
         m = self.metrics
         for w, intent in intents:
             air = intent.frame.bits / self.params.data_rate

@@ -88,7 +88,9 @@ class PendingEntry:
 
 @dataclass(slots=True)
 class HelperEntry:
-    pkt: Optional[NativePacket]  # decoded coded component; None: q2 holds it
+    # A decoded coded component, or None for a native parked in q2. An ACK
+    # that cancels the timer without showing progress leaves that copy queued.
+    pkt: Optional[NativePacket]
     frame_sender: NodeId
     intended: NodeId
     onward: NodeId
@@ -290,13 +292,9 @@ class NodeState:
         return True
 
     def on_data_frame(self, frame: Frame, now: float) -> list[Action]:
-        body = frame.body
-        if isinstance(body, NativePacket):
-            return self._on_native(body, frame, now)
-        if isinstance(body, CodedPacket):
-            return self._on_coded(body, frame, now)
-        self.metrics.drops["malformed"] += 1
-        return []
+        if isinstance(frame.body, NativePacket):
+            return self._on_native(frame.body, frame, now)
+        return self._on_coded(frame.body, frame, now)
 
     def _harvest_components(self, c: CodedPacket, now: float) -> None:
         """Peel every decodable component into the pool. Overheard coded
@@ -667,8 +665,10 @@ class NodeState:
     def _take_partner(self, pkt: NativePacket,
                       heads_only: bool) -> Optional[QueueEntry]:
         """Pop the first queued packet that may ride one coded frame with
-        `pkt`: q1 in order, then the natives parked in q2 behind helper
-        timers, redirected to their onward hop with the timer dropped.
+        `pkt`: q1 in order, then the natives parked in q2, redirected to
+        their onward hop with any helper timer dropped. A parked native
+        outlives its timer when an ACK cancels it without showing progress,
+        and stays until an ACK does show progress (`_drop_buffered_on_ack`).
         `heads_only` looks at each queue's head alone. The partner keeps
         its one queued copy's `_queued` entry; a caller that sends it,
         rather than moving it to the mixing queue, retires the entry."""

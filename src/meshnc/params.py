@@ -1,7 +1,7 @@
 """Run-wide parameter bundle, traffic flows and assembled scenarios."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .channel import Topology
 from .coding import TimerParams
@@ -36,15 +36,6 @@ class SimParams:
     drain_grace: float = 1.0
     max_cope_components: int = 4
     knowledge_cap: int = 256
-
-    def with_timers(self, ack_slot: float | None = None,
-                    base_timeout: float | None = None) -> "SimParams":
-        t = self.timers
-        new = TimerParams(
-            ack_slot=ack_slot if ack_slot is not None else t.ack_slot,
-            base_timeout=base_timeout if base_timeout is not None else t.base_timeout,
-        )
-        return replace(self, timers=new)
 
 
 @dataclass(frozen=True)

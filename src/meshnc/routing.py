@@ -96,12 +96,3 @@ def neighbor_next_hop(tables: ForwardingTables, n: NodeId, m: NodeId,
         return copies[m][dst]
     except KeyError:
         raise RoutingError(f"no route from {m} to {dst}") from None
-
-
-def second_next_hop(tables: ForwardingTables, n: NodeId, dst: NodeId) -> NodeId:
-    """The hop after the next hop on n's route to dst; dst itself when fewer
-    than two hops remain."""
-    nh = next_hop(tables, n, dst)
-    if nh == dst:
-        return dst
-    return next_hop(tables, nh, dst)

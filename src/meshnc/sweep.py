@@ -19,6 +19,7 @@ from .config import ScenarioConfig
 from .core import Protocol
 from .engine import run, throughput
 from .node import Metrics
+from .params import Scenario
 
 RUNS_HEADER = ["scenario", "protocol", "ber", "seed", "flow", "delivered_bytes",
                "throughput_bps", "tx_total", "tx_coded", "retx", "dups",
@@ -47,16 +48,16 @@ def sweep_cells(cfg: ScenarioConfig) -> list[Cell]:
 def run_cell(cfg: ScenarioConfig, cell: Cell) -> list[dict]:
     scenario = cfg.scenario(cell.protocol, cell.ber)
     metrics = run(scenario, cell.seed)
-    return rows_for_run(cfg.name, scenario, cell, metrics)
+    return rows_for_run(scenario, cell.seed, metrics)
 
 
-def rows_for_run(name: str, scenario, cell: Cell, metrics: Metrics) -> list[dict]:
+def rows_for_run(scenario: Scenario, seed: int, metrics: Metrics) -> list[dict]:
     rows = []
     shared = {
-        "scenario": name,
-        "protocol": cell.protocol.name.lower(),
-        "ber": repr(cell.ber),
-        "seed": cell.seed,
+        "scenario": scenario.name,
+        "protocol": scenario.protocol.name.lower(),
+        "ber": repr(scenario.ber),
+        "seed": seed,
         "tx_total": metrics.tx_data,
         "tx_coded": metrics.tx_coded,
         "retx": metrics.retx,
@@ -114,9 +115,9 @@ def rows_to_csv(rows: list[dict], header: list[str]) -> str:
     return buf.getvalue()
 
 
-def write_runs_csv(rows: list[dict], path: str) -> None:
+def write_csv(rows: list[dict], header: list[str], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(rows_to_csv(rows, RUNS_HEADER))
+        fh.write(rows_to_csv(rows, header))
 
 
 def cell_stats(rows: list[dict]) -> list[dict]:
@@ -168,10 +169,10 @@ def gain_table(rows: list[dict],
 
 
 def read_runs_csv(path: str) -> list[dict]:
+    """The rows of a runs.csv; ValueError if its header lacks a column."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
-def write_gains_csv(gains: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(rows_to_csv(gains, GAINS_HEADER))
+        reader = csv.DictReader(fh)
+        missing = [c for c in RUNS_HEADER if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} lacks runs.csv column(s) {missing}")
+        return list(reader)

@@ -191,3 +191,10 @@ class TestDecodable:
             assert not (was and not now)  # adding never flips true -> false
             seen_true = seen_true or now
         assert seen_true  # full pool always suffices
+
+
+def test_star_import_binds_every_public_name():
+    # A name left in __all__ after its object is gone breaks `import *`.
+    namespace: dict = {}
+    exec("from meshnc import *", namespace)
+    assert {"Topology", "run", "parse_config"} <= set(namespace)

@@ -13,7 +13,6 @@ from meshnc import (
     SimParams,
     Simulation,
     build_topology,
-    cbr_source,
     default_flows,
     mac_grant,
     make_payload,
@@ -88,21 +87,18 @@ class TestCollision:
 
 
 class TestCbrSource:
-    def test_paper_pair_counts(self):
-        assert len(cbr_source(0, 0.07, 150.0)) == 2143
-        assert len(cbr_source(0, 0.1, 100.0)) == 1000
-
-    def test_short_duration_single_datagram(self):
-        assert cbr_source(0, 0.5, 0.2) == [(0.0, 0)]
-
-    def test_half_open_boundary(self):
-        assert len(cbr_source(0, 0.25, 1.0)) == 4  # 0, .25, .5, .75
-
-    def test_sim_generates_same_count(self):
-        sc = x_scenario(Protocol.PLAIN, pairs=35)
-        metrics = run(sc, seed=2)
-        assert metrics.generated_count[0] == 35
-        assert metrics.generated_count[1] == 35
+    @pytest.mark.parametrize("interval, duration, count", [
+        (0.07, 150.0, 2143),  # the eight-node and x_topo stock flows
+        (0.1, 100.0, 1000),  # the grid5 stock flows
+        (0.25, 1.0, 4),  # half-open span: 0, .25, .5, .75
+        (0.5, 0.2, 1),  # shorter than one interval
+        (0.07, 35 * 0.07, 35),
+    ])
+    def test_sim_generates_same_count(self, interval, duration, count):
+        # k * interval < duration, counted off the emissions of a real run.
+        sc = Scenario("cbr", build_topology("x_topo"), Protocol.PLAIN, 0.0,
+                      (Flow(0, 3, interval, duration),))
+        assert run(sc, seed=2).generated_count == {0: count}
 
 
 class TestThroughput:

@@ -448,6 +448,22 @@ class TestNativeHelping:
         assert pkt.id not in node.helper_timers
         assert not node.q2  # buffered copy dropped as well
 
+    @pytest.mark.parametrize("proto", [Protocol.BEND, Protocol.FLEXONC])
+    def test_cancel_without_progress_keeps_the_parked_copy(self, ctx, proto):
+        # The sender's own ACK outranks helper 5, so it cancels the timer,
+        # but it shows no progress past 5's copy: the copy stays queued,
+        # held and available as a mix partner until an ACK shows progress.
+        node = make_node(ctx, 5, proto)
+        pkt, _ = self.overhear(node)
+        node.on_ack(Ack(0, pkt.id), (), now=1.0001)
+        assert pkt.id not in node.helper_timers
+        assert [e.pkt.id for e in node.q2] == [pkt.id]
+        assert pkt.id in node._queued and pkt.id in node.held_payloads()
+        node.on_ack(Ack(1, pkt.id), (), now=1.0002)  # the intended forwarder
+        assert not node.q2
+        assert pkt.id not in node._queued
+        assert pkt.id not in node.held_payloads()
+
     def test_plain_and_cope_do_not_help(self, ctx):
         for proto in (Protocol.PLAIN, Protocol.COPE):
             node = make_node(ctx, 5, proto)

@@ -1,4 +1,4 @@
-"""Shortest-path tables, neighbor copies, second-next-hop derivation."""
+"""Shortest-path tables, neighbor copies and flow checks."""
 from collections import deque
 
 import pytest
@@ -13,7 +13,6 @@ from meshnc import (
     neighbor_next_hop,
     neighbors,
     next_hop,
-    second_next_hop,
 )
 from meshnc.routing import check_flows
 
@@ -129,28 +128,6 @@ class TestNeighborNextHop:
                         continue
                     if dst in t.own[m]:
                         assert neighbor_next_hop(t, n, m, dst) == next_hop(t, m, dst)
-
-
-class TestSecondNextHop:
-    def test_two_hops_out(self, eight):
-        _, t = eight
-        assert second_next_hop(t, 0, 4) == 2
-
-    def test_boundary_returns_destination(self, eight):
-        _, t = eight
-        assert second_next_hop(t, 3, 4) == 4
-
-    def test_composition_of_bfs_oracle(self, eight):
-        _, t = eight
-        assert second_next_hop(t, 1, 4) == 3
-
-    def test_general_composition(self, any_topo):
-        topo, t = any_topo
-        for n in topo.nodes():
-            for dst in t.own[n]:
-                nh = next_hop(t, n, dst)
-                expected = dst if nh == dst else next_hop(t, nh, dst)
-                assert second_next_hop(t, n, dst) == expected
 
 
 class TestCheckFlows:

@@ -155,6 +155,16 @@ class TestParseConfig:
             parse_config(text)
         assert err.value.line_no == 3
 
+    @pytest.mark.parametrize("duration", ["0", "-1"])
+    def test_non_positive_duration_names_flow_line(self, duration):
+        # A zero-length flow has no throughput to report, so it must not
+        # pass validation and then fault the sweep after simulating.
+        text = ("topology = eight_node\nflow = 0, 4, 0.07, 10\n"
+                f"flow = 4, 0, 0.07, {duration}\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line_no == 3
+
     def test_unroutable_flow_names_flow_line(self):
         text = "node = 0, 0, 0\nnode = 1, 1000, 0\n\nflow = 0, 1, 0.1, 10\n"
         with pytest.raises(ConfigError) as err:

@@ -14,8 +14,7 @@ from meshnc.sweep import (
     read_runs_csv,
     rows_to_csv,
     sweep_cells,
-    write_gains_csv,
-    write_runs_csv,
+    write_csv,
 )
 
 SMALL = """
@@ -71,7 +70,7 @@ class TestGainTable:
     def test_algebra_reproducible_from_csv(self, small_rows, tmp_path):
         _, rows = small_rows
         path = tmp_path / "runs.csv"
-        write_runs_csv(rows, str(path))
+        write_csv(rows, RUNS_HEADER, str(path))
         first = gain_table(read_runs_csv(str(path)))
         second = gain_table(read_runs_csv(str(path)))
         assert rows_to_csv(first, GAINS_HEADER) == rows_to_csv(second, GAINS_HEADER)
@@ -179,6 +178,28 @@ class TestCli:
         main(["sweep", cfg, "--out-dir", str(b), "--jobs", "1", "--quiet"])
         assert (a / "runs.csv").read_bytes() == (b / "runs.csv").read_bytes()
         assert (a / "gains.csv").read_bytes() == (b / "gains.csv").read_bytes()
+
+    def test_gains_without_a_baseline_cell_fails_cleanly(self, tmp_path, capsys):
+        # bend ran at BER 0 only, so flexonc at 1e-4 has nothing to beat.
+        rows = [{"scenario": "s", "protocol": p, "ber": ber, "seed": 1,
+                 "flow": "total", "throughput_bps": "80.000"}
+                for p, ber in (("flexonc", "0.0"), ("flexonc", "0.0001"),
+                               ("bend", "0.0"))]
+        path = tmp_path / "runs.csv"
+        write_csv(rows, RUNS_HEADER, str(path))
+        assert main(["gains", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "missing baseline cell 'bend' at ber=0.0001" in err
+        assert not (tmp_path / "gains.csv").exists()
+
+    def test_gains_without_a_column_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "runs.csv"
+        path.write_text("scenario,ber,seed,flow,throughput_bps\n"
+                        "s,0.0,1,total,80.000\n")
+        assert main(["gains", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'protocol'" in err
 
     def test_missing_config_fails_cleanly(self, capsys):
         assert main(["run", "/nonexistent.cfg"]) == 2
