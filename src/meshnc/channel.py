@@ -74,7 +74,8 @@ def sample_reception(frame: Frame, topo: Topology, params: ChannelParams,
     are consumed in ascending NodeId order so runs are reproducible.
     """
     sender = frame.transmitter
-    if sender not in topo:
+    heard_by = topo._sorted_adj.get(sender)
+    if heard_by is None:
         raise KeyError(f"unknown sender {sender}")
     p_ok = (1.0 - params.ber) ** frame.bits
-    return {m for m in topo._sorted_adj[sender] if rng.random() < p_ok}
+    return {m for m in heard_by if rng.random() < p_ok}

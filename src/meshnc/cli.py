@@ -51,6 +51,7 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
     scenario = cfg.scenario(cfg.protocols[0], cfg.bers[0])
+    os.makedirs(args.out_dir, exist_ok=True)
     metrics = run_one(scenario, seed)
     rows = rows_for_run(scenario, seed, metrics)
     path = os.path.join(args.out_dir, "runs.csv")

@@ -110,19 +110,25 @@ def cope_select(head: NativePacket, candidates: list[NativePacket],
     *other* members. The singleton [head] is always a valid outcome.
     """
     selected = [head]
-    hops = {head.next_hop}
+    ids = [head.id]
+    # Next hops no later candidate may use: one a member already serves, or
+    # one believed to lack a member. Members are only ever added, so a hop
+    # found lacking one stays blocked for the rest of the scan.
+    blocked = {head.next_hop}
     for cand in candidates:
         if len(selected) >= max_components:
             break
-        if cand.next_hop in hops:
+        hop = cand.next_hop
+        if hop in blocked:
             continue
-        ids_selected = [p.id for p in selected]
-        if not knowledge.holds_all(cand.next_hop, ids_selected):
+        if not knowledge.holds_all(hop, ids):
+            blocked.add(hop)
             continue
         if not all(knowledge.knows(p.next_hop, cand.id) for p in selected):
             continue
         selected.append(cand)
-        hops.add(cand.next_hop)
+        ids.append(cand.id)
+        blocked.add(hop)
     return selected
 
 

@@ -16,6 +16,7 @@ Example::
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -122,7 +123,10 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
                 nid = int(nid_s)
                 if nid in nodes:
                     raise ConfigError(line_no, f"duplicate node id {nid}")
-                nodes[nid] = (float(x_s), float(y_s))
+                x, y = float(x_s), float(y_s)
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ConfigError(line_no, "node coordinates must be finite")
+                nodes[nid] = (x, y)
             elif key == "flow":
                 src, dst, interval, duration = (v.strip() for v in value.split(","))
                 fl = Flow(int(src), int(dst), float(interval), float(duration))
@@ -145,6 +149,8 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
                 cfg.seeds = tuple(int(v) for v in value.split(","))
             elif key in _FLOAT_PARAMS:
                 v = float(value)
+                if not math.isfinite(v):
+                    raise ConfigError(line_no, f"{key} must be finite")
                 if v <= 0:
                     raise ConfigError(line_no, f"{key} must be positive")
                 if key in ("ack_slot", "base_timeout"):

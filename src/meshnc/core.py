@@ -2,10 +2,17 @@
 
 Everything here is an immutable value type plus pure functions, so instances
 can be broadcast to many receivers without defensive copying.
+
+The value types are `NamedTuple`s, so construction, field access, hashing
+and equality run in C on the hot path. Each must hash as the plain tuple of
+its fields in declaration order (`hash(PayloadId(f, s)) == hash((f, s))`):
+set and dict iteration order over them follows their hashes and reaches the
+output. Being tuples, values of two types with equal fields compare equal;
+the code never mixes types in one container, and `isinstance` still tells
+the bodies apart.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -28,18 +35,14 @@ class CodingError(ValueError):
 
 
 class PayloadId(NamedTuple):
-    """Identity of one generated datagram: (flow index, sequence number).
-
-    A tuple, so hashing and equality run in C on the hot path. Its hash
-    must stay `hash((flow, seq))`: set iteration order over payload ids
-    follows it and reaches the output.
-    """
+    """Identity of one generated datagram: (flow index, sequence number)."""
     flow: int
     seq: int
 
 
-@dataclass(frozen=True, slots=True)
-class NativePacket:
+class NativePacket(NamedTuple):
+    # Like every value type here, it must hash as the tuple of its fields
+    # in this order (see the module docstring).
     id: PayloadId
     src: NodeId
     dst: NodeId
@@ -49,8 +52,7 @@ class NativePacket:
     second_next_hop: Optional[NodeId] = None
 
 
-@dataclass(frozen=True, slots=True)
-class CodedComponent:
+class CodedComponent(NamedTuple):
     """Routing metadata of one native packet folded into a coded frame."""
     id: PayloadId
     src: NodeId
@@ -58,8 +60,7 @@ class CodedComponent:
     intended_next_hop: NodeId
 
 
-@dataclass(frozen=True, slots=True)
-class CodedPacket:
+class CodedPacket(NamedTuple):
     components: tuple[CodedComponent, ...]
     payload: bytes
     sender: NodeId
@@ -68,8 +69,7 @@ class CodedPacket:
         return frozenset(c.intended_next_hop for c in self.components)
 
 
-@dataclass(frozen=True, slots=True)
-class Ack:
+class Ack(NamedTuple):
     """Link-layer acknowledgment carrying the address of its *sender*."""
     ack_sender: NodeId
     payload: PayloadId
@@ -78,8 +78,7 @@ class Ack:
 Body = Union[NativePacket, CodedPacket, Ack]
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
+class Frame(NamedTuple):
     """On-air unit: a data or ack body plus a piggybacked reception report."""
     body: Body
     reception_report: tuple[PayloadId, ...]
@@ -129,7 +128,7 @@ def encode(natives: Sequence[NativePacket], sender: NodeId) -> CodedPacket:
     components = tuple(
         CodedComponent(p.id, p.src, p.dst, p.next_hop) for p in natives
     )
-    return CodedPacket(components=components, payload=payload, sender=sender)
+    return CodedPacket(components, payload, sender)
 
 
 def decodable(
@@ -161,11 +160,5 @@ def decode(
         if other is None:
             return None
         payload = xor_payloads(payload, other)
-    return NativePacket(
-        id=target.id,
-        src=target.src,
-        dst=target.dst,
-        prev_hop=coded.sender,
-        next_hop=target.intended_next_hop,
-        payload=payload,
-    )
+    return NativePacket(target.id, target.src, target.dst, coded.sender,
+                        target.intended_next_hop, payload)

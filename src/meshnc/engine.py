@@ -95,6 +95,8 @@ class Simulation:
                          self.nbrs, self.metrics, payload_check=check)
             for n in self.node_order
         }
+        # The grant scan's (id, node) pairs, in node order.
+        self._by_id = tuple((n, self.nodes[n]) for n in self.node_order)
         check_flows(self.topo, self.tables, scenario.flows)
 
         self._heap: list[tuple] = []
@@ -222,7 +224,8 @@ class Simulation:
         if self.now < gate - 1e-15:
             self._maybe_grant()
             return
-        contenders = [n for n in self.node_order if self.nodes[n].ready(self.now)]
+        now = self.now
+        contenders = [n for n, node in self._by_id if node.ready(now)]
         if not contenders:
             return
         winners, start = mac_grant(contenders, self.now, self.rng,

@@ -15,7 +15,7 @@ acknowledges first. Plain mode reduces to bare store-and-forward with ACKs.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .coding import (
@@ -44,6 +44,10 @@ from .core import (
 )
 from .params import SimParams
 from .routing import ForwardingTables, RoutingError, neighbor_next_hop, next_hop
+
+# Bound once: looking a member up on the enum class is slow on the hot path.
+PLAIN, COPE, BEND, FLEXONC = Protocol
+HELPING = (BEND, FLEXONC)  # the protocols with helpers and positional mixing
 
 TIMER_PENDING = 0
 TIMER_HELPER = 1
@@ -158,6 +162,9 @@ class NodeState:
         self.helper_timers: dict[PayloadId, HelperEntry] = {}
         self.delivered: set[PayloadId] = set()
         self.knowledge = NeighborKnowledge(cap=params.knowledge_cap)
+        # Per transmitter: it and its neighbors other than this node, the
+        # nodes broadcast inference credits with what it sends.
+        self._fanout: dict[NodeId, tuple[NodeId, ...]] = {}
         self._serve_mix_next = False
 
     # ------------------------------------------------------------------ utils
@@ -203,13 +210,12 @@ class NodeState:
                     del acked_by[old_pid]
 
     def _make_ack(self, pid: PayloadId) -> Ack:
-        ack = Ack(ack_sender=self.node_id, payload=pid)
+        ack = Ack(self.node_id, pid)
         self._ack_cache_add(self.node_id, pid)
         return ack
 
     def build_ack_frame(self, ack: Ack) -> Frame:
-        return Frame(body=ack, reception_report=tuple(self.recent_rx),
-                     bits=ack_frame_bits())
+        return Frame(ack, tuple(self.recent_rx), ack_frame_bits())
 
     def _in_custody(self, pid: PayloadId) -> bool:
         return (pid in self._queued or pid in self.pending
@@ -292,9 +298,10 @@ class NodeState:
         return True
 
     def on_data_frame(self, frame: Frame, now: float) -> list[Action]:
-        if isinstance(frame.body, NativePacket):
-            return self._on_native(frame.body, frame, now)
-        return self._on_coded(frame.body, frame, now)
+        body = frame.body
+        if type(body) is NativePacket:
+            return self._on_native(body, frame, now)
+        return self._on_coded(body, frame, now)
 
     def _harvest_components(self, c: CodedPacket, now: float) -> None:
         """Peel every decodable component into the pool. Overheard coded
@@ -348,10 +355,11 @@ class NodeState:
             self.metrics.drops["queue_overflow"] += 1
         else:
             onward_hop = next_hop(self.tables, self.node_id, pkt.dst)
-            if self.protocol != Protocol.PLAIN:
+            if self.protocol != PLAIN:
                 eligible += self.params.pairing_hold
             self.q1.append(QueueEntry(
-                replace(pkt, next_hop=onward_hop, second_next_hop=None),
+                NativePacket(pkt.id, pkt.src, pkt.dst, pkt.prev_hop,
+                             onward_hop, pkt.payload),
                 eligible_at=eligible))
             self._queued.add(pkt.id)
         actions.append(SendAck(self._make_ack(pkt.id), ack_delay))
@@ -392,24 +400,28 @@ class NodeState:
         actions: list[Action] = []
         proto = self.protocol
         tx = p.prev_hop
-        self._cede_custody(p.id, p.next_hop)
-        self._refresh_helper(p.id, now, actions)
-        if proto != Protocol.PLAIN:
+        pid = p.id
+        self._cede_custody(pid, p.next_hop)
+        self._refresh_helper(pid, now, actions)
+        if proto != PLAIN:
             know = self.knowledge
             know.merge(tx, frame.reception_report, now)
-            self._pool_add(p.id, p.payload, now)
-            self._note_received(p.id)
+            self._pool_add(pid, p.payload, now)
+            self._note_received(pid)
             # Broadcast inference: every neighbor of the transmitter heard
             # this too unless the channel said otherwise; being wrong under
             # loss reproduces the optimistic coding decisions of the real
             # protocols.
-            me = self.node_id
-            know.add_to_all((tx, *(m for m in self.nbrs(tx) if m != me)),
-                            p.id, now)
+            fanout = self._fanout.get(tx)
+            if fanout is None:
+                me = self.node_id
+                fanout = self._fanout[tx] = (
+                    tx, *(m for m in self.nbrs(tx) if m != me))
+            know.add_to_all(fanout, pid, now)
 
         if p.next_hop == self.node_id:
             self._accept(p, now, 0.0, actions)
-        elif proto in (Protocol.BEND, Protocol.FLEXONC):
+        elif proto in HELPING:
             self._consider_native_helping(p, tx, now, actions)
         return actions
 
@@ -420,7 +432,7 @@ class NodeState:
         my_nbrs = self.nbrs(self.node_id)
         if p.next_hop not in my_nbrs:
             return
-        if self.protocol == Protocol.BEND:
+        if self.protocol == BEND:
             onward = p.second_next_hop
         else:
             onward = self._onward(p.next_hop, p.dst)
@@ -434,7 +446,7 @@ class NodeState:
         for comp in c.components:
             self._cede_custody(comp.id, comp.intended_next_hop)
             self._refresh_helper(comp.id, now, actions)
-        if proto != Protocol.PLAIN:
+        if proto != PLAIN:
             self.knowledge.merge(
                 c.sender,
                 (*frame.reception_report, *(comp.id for comp in c.components)),
@@ -452,7 +464,7 @@ class NodeState:
                 self._accept(native, now, i * self.params.ack_stagger, actions)
                 return actions
 
-        if proto != Protocol.FLEXONC:
+        if proto != FLEXONC:
             self.metrics.drops["non_intended_coded"] += 1
             return actions
 
@@ -475,7 +487,7 @@ class NodeState:
                ) -> list[Action]:
         sender = ack.ack_sender
         pid = ack.payload
-        if self.protocol != Protocol.PLAIN:
+        if self.protocol != PLAIN:
             self.knowledge.merge(sender, (*report, pid), now)
         sender_hood = self.nbrs(sender)
 
@@ -582,7 +594,8 @@ class NodeState:
             self._queued.discard(pid)
             self.metrics.drops["helper_queue_full"] += 1
             return []
-        forwarded = replace(pkt, next_hop=entry.onward, second_next_hop=None)
+        forwarded = NativePacket(pkt.id, pkt.src, pkt.dst, pkt.prev_hop,
+                                 entry.onward, pkt.payload)
         # ACK first so other would-be helpers stand down sooner.
         ack = self._make_ack(pid)
         self.metrics.helper_forwards += 1
@@ -611,14 +624,15 @@ class NodeState:
 
     def _stamp_for_tx(self, pkt: NativePacket) -> NativePacket:
         second = None
-        if self.protocol == Protocol.BEND:
+        if self.protocol == BEND:
             second = (pkt.dst if pkt.next_hop == pkt.dst
                       else next_hop(self.tables, pkt.next_hop, pkt.dst))
-        return replace(pkt, prev_hop=self.node_id, second_next_hop=second)
+        return NativePacket(pkt.id, pkt.src, pkt.dst, self.node_id,
+                            pkt.next_hop, pkt.payload, second)
 
     def _build_data_frame(self, body) -> Frame:
-        return Frame(body=body, reception_report=tuple(self.recent_rx),
-                     bits=data_frame_bits(len(body.payload)))
+        return Frame(body, tuple(self.recent_rx),
+                     data_frame_bits(len(body.payload)))
 
     def select_transmission(self, now: float) -> Optional[TxIntent]:
         q1_ok = bool(self.q1) and self.q1[0].eligible_at <= now + 1e-12
@@ -636,7 +650,7 @@ class NodeState:
         proto = self.protocol
 
         riders: list[QueueEntry] = []
-        if proto == Protocol.COPE:
+        if proto == COPE:
             candidates = [e.pkt for e in self.q1]
             chosen = cope_select(head, candidates, self.knowledge,
                                  self.params.max_cope_components)
@@ -645,17 +659,22 @@ class NodeState:
                 riders = [e for e in self.q1 if e.pkt.id in chosen_ids]
                 self.q1 = deque(e for e in self.q1
                                 if e.pkt.id not in chosen_ids)
-        elif proto in (Protocol.BEND, Protocol.FLEXONC):
+        elif proto in HELPING:
             rider = self._take_partner(head, heads_only=False)
             if rider is not None:
                 riders = [rider]
 
+        if not riders:
+            native = self._stamp_for_tx(head)
+            self._queued.discard(native.id)
+            return TxIntent(self._build_data_frame(native), (native,),
+                            int(head_entry.retx))
         retx_count = int(head_entry.retx) + sum(int(e.retx) for e in riders)
         natives = tuple(self._stamp_for_tx(p)
                         for p in [head] + [e.pkt for e in riders])
         self._queued.difference_update(n.id for n in natives)
-        body = encode(natives, self.node_id) if len(natives) > 1 else natives[0]
-        return TxIntent(self._build_data_frame(body), natives, retx_count)
+        return TxIntent(self._build_data_frame(encode(natives, self.node_id)),
+                        natives, retx_count)
 
     def _pair_evidence(self, a: NativePacket, b: NativePacket) -> bool:
         """Each receiver is believed to hold the packet it must peel off."""
@@ -676,7 +695,11 @@ class NodeState:
             for i, e in enumerate(q):
                 if i and heads_only:
                     break
-                cand = e.pkt if e.onward is None else replace(e.pkt, next_hop=e.onward)
+                cand = e.pkt
+                if e.onward is not None:
+                    cand = NativePacket(cand.id, cand.src, cand.dst,
+                                        cand.prev_hop, e.onward, cand.payload,
+                                        cand.second_next_hop)
                 if (cand.next_hop != pkt.next_hop
                         and bend_mixable(pkt, cand, self.nbrs)
                         and self._pair_evidence(pkt, cand)):
@@ -696,6 +719,6 @@ class NodeState:
             self.pending[native.id] = PendingEntry(pkt=native, deadline=deadline)
             self.retries.setdefault(native.id, self.params.retry_limit)
             actions.append(StartTimer(TIMER_PENDING, native.id, deadline))
-            if self.protocol != Protocol.PLAIN:
+            if self.protocol != PLAIN:
                 self._pool_add(native.id, native.payload, end)
         return actions

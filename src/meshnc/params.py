@@ -1,6 +1,7 @@
 """Run-wide parameter bundle, traffic flows and assembled scenarios."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .channel import Topology
@@ -46,6 +47,8 @@ class Flow:
     duration: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.interval) and math.isfinite(self.duration)):
+            raise ValueError("flow interval and duration must be finite")
         if self.interval <= 0:
             raise ValueError("flow interval must be positive")
         if self.duration < 0:

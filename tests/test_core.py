@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meshnc import (
+    Ack,
+    CodedPacket,
     CodingError,
+    Frame,
     NativePacket,
     PayloadId,
     decodable,
@@ -14,6 +17,7 @@ from meshnc import (
     encode,
     xor_payloads,
 )
+from meshnc.core import CodedComponent
 
 
 def native(flow, seq, nxt, prev=9, src=9, dst=99, payload=b""):
@@ -33,6 +37,60 @@ class TestPayloadId:
         assert hash(pid) == hash((flow, seq))
         assert (pid.flow, pid.seq) == (flow, seq)
         assert pid == PayloadId(flow=flow, seq=seq)
+
+
+def value_samples():
+    """One instance of each packet value type, with its fields in order."""
+    pid = PayloadId(3, 7)
+    nat = native(3, 7, nxt=2, prev=1, src=0, dst=4, payload=b"ab")
+    other = native(5, 1, nxt=6, prev=1, src=8, dst=6, payload=b"cd")
+    coded = encode([nat, other], sender=5)
+    comp = coded.components[0]
+    ack = Ack(ack_sender=2, payload=pid)
+    frame = Frame(body=coded, reception_report=(pid,), bits=96)
+    return [
+        (nat, ("id", "src", "dst", "prev_hop", "next_hop", "payload",
+               "second_next_hop")),
+        (comp, ("id", "src", "dst", "intended_next_hop")),
+        (coded, ("components", "payload", "sender")),
+        (ack, ("ack_sender", "payload")),
+        (frame, ("body", "reception_report", "bits")),
+    ]
+
+
+class TestValueTypes:
+    # Set and dict iteration order over packets, frames and ACKs follows
+    # their hashes, and that order reaches the output, so each type must
+    # hash exactly as the tuple of its fields, in declaration order.
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_hashes_as_its_field_tuple(self, index):
+        value, names = value_samples()[index]
+        assert hash(value) == hash(tuple(getattr(value, n) for n in names))
+
+    @pytest.mark.parametrize("index", range(5))
+    def test_fields_cannot_be_assigned(self, index):
+        value, names = value_samples()[index]
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(value, name))
+
+    def test_body_types_are_told_apart(self):
+        nat, coded, ack = (value_samples()[i][0] for i in (0, 2, 3))
+        kinds = (NativePacket, CodedPacket, Ack)
+        for body, kind in zip((nat, coded, ack), kinds):
+            assert [isinstance(body, k) for k in kinds] == [
+                k is kind for k in kinds]
+
+    def test_frame_transmitter_per_body_type(self):
+        bodies = (value_samples()[i][0] for i in (0, 2, 3))
+        assert [Frame(body=b, reception_report=(), bits=8).transmitter
+                for b in bodies] == [1, 5, 2]
+
+    def test_coded_component_from_encode(self):
+        coded = value_samples()[2][0]
+        assert all(type(c) is CodedComponent for c in coded.components)
+        assert coded.intended_set() == frozenset({2, 6})
 
 
 class TestXorPayloads:

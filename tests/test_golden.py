@@ -1,16 +1,24 @@
 """Golden output: two short sweeps whose runs.csv and gains.csv bytes are
-pinned by sha256.
+pinned by sha256, and a third digest per sweep over every `Metrics` counter
+of each cell.
 
-A refactor that claims "same bytes" must leave both digests unchanged; a
+A refactor that claims "same bytes" must leave every digest unchanged; a
 deliberate model change must update them and say why in CHANGES.md. The two
 sweeps go through the product path (parse_config -> run_sweep -> rows_to_csv)
-and take about 8 s together on one core.
+and take about 8 s together on one core; the metrics digest re-runs the same
+cells through `meshnc.run` and takes as long again.
+
+runs.csv leaves out most counters: `events`, drops by reason, `corrupted`,
+`duplicate_deliveries`, the generated counts. The metrics digest pins them
+too, so a change that keeps runs.csv but adds or drops events (`events`
+counts every event the heap hands out before the horizon) still shows.
 """
+import dataclasses
 import hashlib
 
 import pytest
 
-from meshnc import gain_table, parse_config, run_sweep
+from meshnc import gain_table, parse_config, run, run_sweep
 from meshnc.sweep import GAINS_HEADER, RUNS_HEADER, rows_to_csv
 
 EIGHT_NODE = """
@@ -47,6 +55,13 @@ GOLDEN = {
 }
 
 
+# sha256 of `metrics_text` over every cell of each sweep above.
+METRICS_GOLDEN = {
+    "eight_node": "5b4e12de63c26c4f0c309e09cbdfa55958e10b99dc9ef69604ff248d31b380d9",
+    "grid5": "43d09aafd9b67a1b30e25455c4ce2bd94b7c5e2ba84f1fb9e41a82c221e6fbb9",
+}
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -57,3 +72,30 @@ def test_sweep_output_matches_pinned_digest(label):
     rows = run_sweep(parse_config(text), jobs=1)
     assert sha256(rows_to_csv(rows, RUNS_HEADER)) == runs_digest
     assert sha256(rows_to_csv(gain_table(rows), GAINS_HEADER)) == gains_digest
+
+
+def metrics_text(text: str) -> str:
+    """One line per cell, in sweep order, naming every `Metrics` field;
+    counters are written as their sorted items."""
+    cfg = parse_config(text)
+    lines = []
+    for protocol in sorted(cfg.protocols):
+        for ber in cfg.bers:
+            scenario = cfg.scenario(protocol, ber)
+            for seed in cfg.seeds:
+                m = run(scenario, seed)
+                fields = []
+                for f in dataclasses.fields(m):
+                    value = getattr(m, f.name)
+                    if isinstance(value, dict):
+                        value = sorted(value.items())
+                    fields.append(f"{f.name}={value}")
+                lines.append(f"{protocol.name.lower()} {ber!r} {seed} "
+                             + " ".join(fields))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("label", sorted(METRICS_GOLDEN))
+def test_every_metrics_counter_matches_pinned_digest(label):
+    text = GOLDEN[label][0]
+    assert sha256(metrics_text(text)) == METRICS_GOLDEN[label]

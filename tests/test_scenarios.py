@@ -10,7 +10,7 @@ from meshnc import (
     neighbors,
     parse_config,
 )
-from meshnc.config import DEFAULT_BERS, DEFAULT_SEEDS
+from meshnc.config import _FLOAT_PARAMS, DEFAULT_BERS, DEFAULT_SEEDS
 
 
 class TestBuildTopology:
@@ -164,6 +164,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", sorted(_FLOAT_PARAMS))
+    def test_non_finite_knob_names_its_line(self, key, value):
+        # NaN slips past `v <= 0`; a NaN ack_slot once faulted the engine
+        # with a causality violation, and a NaN pairing_hold ran silently
+        # and delivered nothing.
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"topology = eight_node\n{key} = {value}\n")
+        assert err.value.line_no == 2
+        assert "finite" in str(err.value)
+
+    @pytest.mark.parametrize("flow", ["0, 4, nan, 10", "0, 4, inf, 10",
+                                      "0, 4, 0.07, inf"])
+    def test_non_finite_flow_names_flow_line(self, flow):
+        text = f"topology = eight_node\nflow = 4, 0, 0.07, 10\nflow = {flow}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line_no == 3
+        assert "finite" in str(err.value)
+
+    @pytest.mark.parametrize("node", ["1, nan, 0", "1, 0, inf"])
+    def test_non_finite_node_position_names_its_line(self, node):
+        text = f"node = 0, 0, 0\nnode = {node}\nflow = 0, 1, 0.1, 5\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line_no == 2
 
     def test_unroutable_flow_names_flow_line(self):
         text = "node = 0, 0, 0\nnode = 1, 1000, 0\n\nflow = 0, 1, 0.1, 10\n"

@@ -136,6 +136,12 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert rows and rows[0]["seed"] == "3"
 
+    def test_run_creates_a_missing_out_dir(self, tmp_path):
+        out = tmp_path / "fresh" / "results"
+        assert main(["run", self.write_cfg(tmp_path), "--out-dir",
+                     str(out)]) == 0
+        assert (out / "runs.csv").exists()
+
     def test_sweep_writes_runs_and_gains(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
         out = tmp_path / "results"
