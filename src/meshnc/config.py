@@ -1,9 +1,10 @@
 """Flat key=value scenario configuration files.
 
 Format: one `key = value` per line, `#` comments, repeated `flow = ...` and
-`node = ...` lines. Unknown keys, malformed values and unroutable flows are
-rejected with the offending line number; a missing topology or missing flow
-lines are rejected with no line number.
+`node = ...` lines; `range` applies to `node` lines only. Unknown keys,
+malformed values, a value repeated in `protocols`, `bers` or `seeds` and
+unroutable flows are rejected with the offending line number; a missing
+topology or missing flow lines are rejected with no line number.
 
 Example::
 
@@ -36,6 +37,8 @@ _FLOAT_PARAMS = {
 }
 _INT_PARAMS = {"payload_size", "retry_limit", "queue_cap", "ack_cache_cap",
                "max_cope_components"}
+_TOPOLOGY_CONFLICT = ("give either 'topology' or explicit 'node' and "
+                      "'range' lines, not both")
 
 
 class ConfigError(ValueError):
@@ -83,11 +86,18 @@ class ScenarioConfig:
         )
 
 
-def _parse_protocol(token: str, line_no: int) -> Protocol:
+def _parse_protocol(token: str) -> Protocol:
     try:
         return Protocol[token.strip().upper()]
     except KeyError:
-        raise ConfigError(line_no, f"unknown protocol {token.strip()!r}") from None
+        raise ValueError(f"unknown protocol {token.strip()!r}") from None
+
+
+def _sweep_axis(value: str, line_no: int, key: str, parse) -> tuple:
+    values = tuple(parse(v) for v in value.split(","))
+    if len(set(values)) < len(values):  # it would run the same cells twice
+        raise ConfigError(line_no, f"{key} repeats a value: {value}")
+    return values
 
 
 def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
@@ -95,6 +105,7 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
     flows: list[Flow] = []
     flow_lines: list[int] = []
     nodes: dict[int, tuple[float, float]] = {}
+    range_given = False
     timer_overrides: dict[str, float] = {}
     param_overrides: dict[str, object] = {}
 
@@ -108,10 +119,9 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
         key = key.strip().lower()
         value = value.strip()
         try:
-            if (key == "topology" and nodes
+            if (key == "topology" and (nodes or range_given)
                     or key == "node" and cfg.topology_kind):
-                raise ConfigError(line_no, "give either 'topology' or "
-                                  "explicit 'node' lines, not both")
+                raise ConfigError(line_no, _TOPOLOGY_CONFLICT)
             if key == "topology":
                 if value not in TOPOLOGY_KINDS:
                     raise ConfigError(
@@ -134,19 +144,14 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
                     raise ConfigError(line_no, "flow duration must be positive")
                 flows.append(fl)
                 flow_lines.append(line_no)
-            elif key == "protocol":
-                cfg.protocols = (_parse_protocol(value, line_no),)
-            elif key == "protocols":
-                cfg.protocols = tuple(_parse_protocol(v, line_no)
-                                      for v in value.split(","))
+            elif key in ("protocol", "protocols"):
+                cfg.protocols = _sweep_axis(value, line_no, key, _parse_protocol)
             elif key in ("ber", "bers"):
-                bers = tuple(float(v) for v in value.split(","))
-                for b in bers:
-                    if not 0.0 <= b < 1.0:
-                        raise ConfigError(line_no, f"ber must be in [0,1): {b}")
-                cfg.bers = bers
+                cfg.bers = _sweep_axis(value, line_no, key, float)
+                if not all(0.0 <= b < 1.0 for b in cfg.bers):
+                    raise ConfigError(line_no, f"ber must be in [0,1): {value}")
             elif key in ("seed", "seeds"):
-                cfg.seeds = tuple(int(v) for v in value.split(","))
+                cfg.seeds = _sweep_axis(value, line_no, key, int)
             elif key in _FLOAT_PARAMS:
                 v = float(value)
                 if not math.isfinite(v):
@@ -156,7 +161,10 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
                 if key in ("ack_slot", "base_timeout"):
                     timer_overrides[key] = v
                 elif key == "range":
+                    if cfg.topology_kind:  # a stock topology's links are fixed
+                        raise ConfigError(line_no, _TOPOLOGY_CONFLICT)
                     cfg.range_m = v
+                    range_given = True
                 else:
                     param_overrides[key] = v
             elif key in _INT_PARAMS:

@@ -33,6 +33,7 @@ from .core import (
     CodedPacket,
     Frame,
     NativePacket,
+    REPORT_LEN,
     NodeId,
     PayloadId,
     Protocol,
@@ -75,7 +76,6 @@ class QueueEntry:
     pkt: NativePacket
     eligible_at: float
     retx: bool = False
-    onward: Optional[NodeId] = None  # redirect target for overheard packets
 
 
 @dataclass(slots=True)
@@ -92,11 +92,10 @@ class PendingEntry:
 
 @dataclass(slots=True)
 class HelperEntry:
-    # A decoded coded component, or None for a native parked in q2. An ACK
-    # that cancels the timer without showing progress leaves that copy queued.
-    pkt: Optional[NativePacket]
+    """`pkt` as heard: its next hop is the forwarder this node may stand in
+    for, sending it on to `onward`. A parked native is also its q2 entry."""
+    pkt: NativePacket
     frame_sender: NodeId
-    intended: NodeId
     onward: NodeId
     fire_at: float
     index: int
@@ -146,7 +145,7 @@ class NodeState:
         self.deg = max(1, len(nbrs(node_id)))
 
         self.q1: deque[QueueEntry] = deque()
-        self.q2: deque[QueueEntry] = deque()
+        self.q2: dict[PayloadId, HelperEntry] = {}  # parked, in arrival order
         self.mixing_q: deque[MixEntry] = deque()
         # Ids of the payloads in q1, q2 and mixing_q, one copy each. An id
         # joins when its payload enters the queues from outside and leaves
@@ -154,7 +153,7 @@ class NodeState:
         self._queued: set[PayloadId] = set()
         self.pool: OrderedDict[PayloadId, bytes] = OrderedDict()
         self._pool_stamps: dict[PayloadId, float] = {}
-        self.recent_rx: deque[PayloadId] = deque(maxlen=8)
+        self.recent_rx: deque[PayloadId] = deque(maxlen=REPORT_LEN)
         self.ack_cache: deque[tuple[NodeId, PayloadId]] = deque()
         self._acked_by: dict[PayloadId, dict[NodeId, int]] = {}
         self.pending: dict[PayloadId, PendingEntry] = {}
@@ -228,7 +227,7 @@ class NodeState:
         copies; the queues are read here rather than trusting the index,
         so this can check it."""
         held = {e.pkt.id for e in self.q1}
-        held.update(e.pkt.id for e in self.q2)
+        held.update(self.q2)
         for m in self.mixing_q:
             held.update(n.id for n in m.natives)
         held.update(self.pending)
@@ -377,24 +376,15 @@ class NodeState:
             return None
 
     def _arm_helper(self, pkt: NativePacket, sender: NodeId, onward: NodeId,
-                    parked: bool, now: float, actions: list[Action]) -> None:
+                    now: float, actions: list[Action]) -> HelperEntry:
         """Hold `pkt`, heard from `sender` on its way to its next hop, to
-        forward it to `onward` unless a closer node ACKs first. A `parked`
-        native waits in q2; a decoded coded component waits on its timer
-        entry alone."""
-        pid = pkt.id
-        if parked:
-            if len(self.q2) >= self.params.queue_cap:
-                self.metrics.drops["q2_overflow"] += 1
-                return
-            self.q2.append(QueueEntry(pkt, eligible_at=now, onward=onward))
-            self._queued.add(pid)
+        forward it to `onward` unless a closer node ACKs first."""
         index = priority_index(self.node_id, sender, pkt.next_hop, self.nbrs)
         fire = now + helper_hold_time(index, self.params.timers)
-        self.helper_timers[pid] = HelperEntry(
-            pkt=None if parked else pkt, frame_sender=sender,
-            intended=pkt.next_hop, onward=onward, fire_at=fire, index=index)
-        actions.append(StartTimer(TIMER_HELPER, pid, fire))
+        entry = self.helper_timers[pkt.id] = HelperEntry(
+            pkt, sender, onward, fire, index)
+        actions.append(StartTimer(TIMER_HELPER, pkt.id, fire))
+        return entry
 
     def _on_native(self, p: NativePacket, frame: Frame, now: float) -> list[Action]:
         actions: list[Action] = []
@@ -438,7 +428,11 @@ class NodeState:
             onward = self._onward(p.next_hop, p.dst)
         if onward is None or (onward != p.next_hop and onward not in my_nbrs):
             return
-        self._arm_helper(p, tx, onward, True, now, actions)
+        if len(self.q2) >= self.params.queue_cap:
+            self.metrics.drops["q2_overflow"] += 1
+            return
+        self.q2[p.id] = self._arm_helper(p, tx, onward, now, actions)
+        self._queued.add(p.id)
 
     def _on_coded(self, c: CodedPacket, frame: Frame, now: float) -> list[Action]:
         actions: list[Action] = []
@@ -478,7 +472,7 @@ class NodeState:
             return actions
         self._arm_helper(native, c.sender,
                          self._onward(comp.intended_next_hop, comp.dst),
-                         False, now, actions)
+                         now, actions)
         return actions
 
     # ----------------------------------------------------------------- acks
@@ -503,11 +497,12 @@ class NodeState:
 
         helper = self.helper_timers.get(pid)
         if helper is not None:
-            cancel = sender == helper.intended or helper.intended in sender_hood
+            intended = helper.pkt.next_hop
+            cancel = sender == intended or intended in sender_hood
             if not cancel:
                 try:
                     cancel = priority_index(sender, helper.frame_sender,
-                                            helper.intended, self.nbrs) < helper.index
+                                            intended, self.nbrs) < helper.index
                 except ValueError:
                     cancel = False
             if cancel:
@@ -523,13 +518,18 @@ class NodeState:
         same node would each drop their copy on the other's ACK. A dropped
         mix's other components move back to the head of q1 as natives."""
         progress = self._ack_shows_progress
-        for q in (self.q1, self.q2):
-            for i, e in enumerate(q):
-                if e.pkt.id == pid:
-                    if progress(sender, e.pkt):
-                        del q[i]
-                        self._queued.discard(pid)
-                    return
+        parked = self.q2.get(pid)
+        if parked is not None:
+            if progress(sender, parked.pkt):
+                del self.q2[pid]
+                self._queued.discard(pid)
+            return
+        for i, e in enumerate(self.q1):
+            if e.pkt.id == pid:
+                if progress(sender, e.pkt):
+                    del self.q1[i]
+                    self._queued.discard(pid)
+                return
         for i, m in enumerate(self.mixing_q):
             for n in m.natives:
                 if n.id == pid:
@@ -579,21 +579,14 @@ class NodeState:
         del self.helper_timers[pid]
         if pid in self.pending or pid in self.delivered:
             return []
-        pkt = entry.pkt
-        if pkt is None:
-            for i, e in enumerate(self.q2):
-                if e.pkt.id == pid:
-                    pkt = e.pkt
-                    del self.q2[i]
-                    break
-            else:
-                return []  # mixed away or dropped since the timer was armed
-        elif pid in self._queued:
+        parked = self.q2.pop(pid, None) is not None  # leaves with its timer
+        if not parked and pid in self._queued:
             return []
         if len(self.q1) >= self.params.queue_cap:
             self._queued.discard(pid)
             self.metrics.drops["helper_queue_full"] += 1
             return []
+        pkt = entry.pkt
         forwarded = NativePacket(pkt.id, pkt.src, pkt.dst, pkt.prev_hop,
                                  entry.onward, pkt.payload)
         # ACK first so other would-be helpers stand down sooner.
@@ -611,7 +604,7 @@ class NodeState:
             eligible = now + self.params.pairing_hold
             self.q1.append(QueueEntry(forwarded, eligible_at=eligible))
             actions.append(StartTimer(TIMER_WAKEUP, None, eligible))
-        if entry.pkt is not None:  # a parked native only moved from q2
+        if not parked:  # a parked native only moved from q2
             self._queued.add(pid)
         return actions
 
@@ -676,38 +669,38 @@ class NodeState:
         return TxIntent(self._build_data_frame(encode(natives, self.node_id)),
                         natives, retx_count)
 
-    def _pair_evidence(self, a: NativePacket, b: NativePacket) -> bool:
-        """Each receiver is believed to hold the packet it must peel off."""
+    def _mixable(self, a: NativePacket, b: NativePacket) -> bool:
+        """Positionally mixable, and each receiver believed to hold the
+        packet it must peel off."""
         know = self.knowledge
-        return know.knows(a.next_hop, b.id) and know.knows(b.next_hop, a.id)
+        return (a.next_hop != b.next_hop and bend_mixable(a, b, self.nbrs)
+                and know.knows(a.next_hop, b.id)
+                and know.knows(b.next_hop, a.id))
 
     def _take_partner(self, pkt: NativePacket,
                       heads_only: bool) -> Optional[QueueEntry]:
         """Pop the first queued packet that may ride one coded frame with
-        `pkt`: q1 in order, then the natives parked in q2, redirected to
-        their onward hop with any helper timer dropped. A parked native
-        outlives its timer when an ACK cancels it without showing progress,
-        and stays until an ACK does show progress (`_drop_buffered_on_ack`).
-        `heads_only` looks at each queue's head alone. The partner keeps
-        its one queued copy's `_queued` entry; a caller that sends it,
-        rather than moving it to the mixing queue, retires the entry."""
-        for q in (self.q1, self.q2):
-            for i, e in enumerate(q):
-                if i and heads_only:
-                    break
-                cand = e.pkt
-                if e.onward is not None:
-                    cand = NativePacket(cand.id, cand.src, cand.dst,
-                                        cand.prev_hop, e.onward, cand.payload,
-                                        cand.second_next_hop)
-                if (cand.next_hop != pkt.next_hop
-                        and bend_mixable(pkt, cand, self.nbrs)
-                        and self._pair_evidence(pkt, cand)):
-                    del q[i]
-                    if q is self.q2:
-                        self.helper_timers.pop(cand.id, None)
-                        e = QueueEntry(cand, e.eligible_at, e.retx)
-                    return e
+        `pkt`: q1 in order, then the natives parked in q2, each redirected
+        to its onward hop and leaving with its helper timer, if an ACK has
+        not cancelled it already. `heads_only` looks at each queue's head
+        alone. The partner keeps its `_queued` entry; a caller that sends
+        it, rather than moving it to the mixing queue, retires the entry."""
+        for i, e in enumerate(self.q1):
+            if i and heads_only:
+                break
+            if self._mixable(pkt, e.pkt):
+                del self.q1[i]
+                return e
+        for i, (pid, h) in enumerate(self.q2.items()):
+            if i and heads_only:
+                break
+            p = h.pkt
+            cand = NativePacket(pid, p.src, p.dst, p.prev_hop, h.onward,
+                                p.payload, p.second_next_hop)
+            if self._mixable(pkt, cand):
+                del self.q2[pid]
+                self.helper_timers.pop(pid, None)
+                return QueueEntry(cand, 0.0)
         return None
 
     def after_transmit(self, intent: TxIntent, end: float) -> list[Action]:

@@ -24,7 +24,6 @@ class RoutingError(KeyError):
 class ForwardingTables:
     own: dict[NodeId, dict[NodeId, NodeId]]
     neighbor_copies: dict[NodeId, dict[NodeId, dict[NodeId, NodeId]]]
-    adjacency: dict[NodeId, frozenset[NodeId]] = field(default_factory=dict)
     # hops[n][dst]: route length in hops; absent when unreachable.
     hops: dict[NodeId, dict[NodeId, int]] = field(default_factory=dict)
 
@@ -61,8 +60,7 @@ def build_forwarding_tables(topo: Topology) -> ForwardingTables:
             hops[n][dst] = dist[n]
 
     copies = {n: {m: own[m] for m in sorted(adj[n])} for n in ids}
-    return ForwardingTables(own=own, neighbor_copies=copies, adjacency=adj,
-                            hops=hops)
+    return ForwardingTables(own=own, neighbor_copies=copies, hops=hops)
 
 
 def check_flows(topo: Topology, tables: ForwardingTables,

@@ -176,7 +176,8 @@ class TestConservation:
         # delivered and no node still holds (queued, awaiting an ACK, behind
         # a helper timer, or on the air at the horizon) was lost, and each
         # loss must have bumped a drop counter. Each node's queue index must
-        # also list exactly the payloads read off its queues, one copy each.
+        # also list exactly the payloads read off its queues, one copy each,
+        # and an armed native helper's timer entry must be its q2 entry.
         duration = 30.0 if kind == "eight_node" else 10.0
         flows = tuple(Flow(f.src, f.dst, f.interval, duration)
                       for f in default_flows(kind))
@@ -184,12 +185,18 @@ class TestConservation:
                                   flows), seed)
         m = sim.run()
         for nid, node in sim.nodes.items():
-            queued = [e.pkt.id for e in (*node.q1, *node.q2)]
+            queued = [e.pkt.id for e in node.q1] + list(node.q2)
             queued += [n.id for mix in node.mixing_q for n in mix.natives]
             assert len(queued) == len(set(queued)), f"node {nid} queues twice"
             assert node._queued == set(queued), (
                 f"node {nid}: index and queues differ by "
                 f"{sorted(node._queued ^ set(queued))[:5]}")
+            for pid, helper in node.helper_timers.items():
+                # A coded component's helper holds no queued copy.
+                parked = node.q2.get(pid)
+                assert parked is helper or (
+                    parked is None and pid not in node._queued), (
+                    f"node {nid}: helper {pid} is not its parked entry")
         generated = {PayloadId(flow, k)
                      for flow, n in m.generated_count.items()
                      for k in range(n)}

@@ -457,7 +457,7 @@ class TestNativeHelping:
         pkt, _ = self.overhear(node)
         node.on_ack(Ack(0, pkt.id), (), now=1.0001)
         assert pkt.id not in node.helper_timers
-        assert [e.pkt.id for e in node.q2] == [pkt.id]
+        assert list(node.q2) == [pkt.id]
         assert pkt.id in node._queued and pkt.id in node.held_payloads()
         node.on_ack(Ack(1, pkt.id), (), now=1.0002)  # the intended forwarder
         assert not node.q2
@@ -480,6 +480,53 @@ class TestNativeHelping:
         assert t2.at > t1.at
         assert node.on_timer(TIMER_HELPER, pkt.id, t1.at) == []  # stale
         assert pkt.id in node.helper_timers
+
+    @pytest.mark.parametrize("proto", [Protocol.BEND, Protocol.FLEXONC])
+    def test_q2_overflow_counts_the_drop_and_arms_no_timer(self, ctx, proto):
+        node = make_node(ctx, 5, proto, SimParams(queue_cap=1))
+        first, _ = self.overhear(node)
+        second = first._replace(id=PayloadId(0, 3))
+        actions = node.on_data_frame(data_frame(second), now=1.0005)
+        assert timers_of(actions) == []
+        assert node.metrics.drops["q2_overflow"] == 1
+        assert second.id not in node.helper_timers
+        assert second.id not in node.held_payloads()
+        assert first.id in node.held_payloads() and len(node.q2) == 1
+
+    @pytest.mark.parametrize("proto", [Protocol.BEND, Protocol.FLEXONC])
+    def test_parked_native_mixes_toward_its_onward_hop(self, ctx, proto):
+        # Node 5 parks 0 -> 1's packet (onward hop 2). A reverse packet from
+        # node 2 toward node 0 then heads q1: the two mix, the parked copy
+        # goes out addressed to 2, and its helper timer is gone.
+        node = make_node(ctx, 5, proto)
+        pkt, actions = self.overhear(node)
+        (timer,) = timers_of(actions, TIMER_HELPER)
+        head = native(1, 9, src=4, dst=0, prev=2, nxt=0)
+        node.enqueue_source(head, 1.0)
+        node.knowledge.add(2, head.id)
+        body = node.select_transmission(1.0).frame.body
+        assert isinstance(body, CodedPacket)
+        assert {c.id: c.intended_next_hop for c in body.components} == {
+            head.id: 0, pkt.id: 2}
+        assert pkt.id not in node.helper_timers and not node.q2
+        assert node.on_timer(TIMER_HELPER, pkt.id, timer.at) == []
+        assert node.metrics.helper_forwards == 0 and not node.q1
+
+    @pytest.mark.parametrize("proto", [Protocol.BEND, Protocol.FLEXONC])
+    def test_helper_queue_full_releases_the_parked_copy(self, ctx, proto):
+        node = make_node(ctx, 5, proto, SimParams(queue_cap=1))
+        blocker = native(1, 9, src=5, dst=0, prev=5, nxt=0)
+        node.enqueue_source(blocker, 1.0)
+        pkt, actions = self.overhear(node)
+        (timer,) = timers_of(actions, TIMER_HELPER)
+        assert pkt.id in node.held_payloads()
+        assert node.on_timer(TIMER_HELPER, pkt.id, timer.at) == []
+        assert node.metrics.drops["helper_queue_full"] == 1
+        assert pkt.id not in node.held_payloads() and not node.q2
+        assert [e.pkt.id for e in node.q1] == [blocker.id]
+        # Released for good: hearing the payload again parks it afresh.
+        _, again = self.overhear(node, now=timer.at + 0.001)
+        assert len(timers_of(again, TIMER_HELPER)) == 1
 
 
 class TestQueueBounds:

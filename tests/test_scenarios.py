@@ -217,6 +217,28 @@ class TestParseConfig:
         sc = cfg.scenario(Protocol.PLAIN, 0.0)
         assert sc.flows[0].dst == 2
 
+    @pytest.mark.parametrize("text, line", [
+        ("topology = grid5\nrange = 100\n", 2),
+        ("range = 100\n\ntopology = grid5\n", 3),
+    ], ids=["topology-then-range", "range-then-topology"])
+    def test_range_with_stock_topology_names_later_line(self, text, line):
+        # A stock topology has fixed links; a range line would be ignored.
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line_no == line
+        assert "range" in str(err.value)
+
+    @pytest.mark.parametrize("line", [
+        "protocols = plain, PLAIN", "bers = 0, 0.0", "seeds = 1, 2, 1"],
+        ids=["protocols", "bers", "seeds"])
+    def test_repeated_sweep_value_names_its_line(self, line):
+        # A repeated value would run the same cells twice, and per-cell
+        # statistics would count the copies as independent samples.
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"topology = eight_node\n{line}\n")
+        assert err.value.line_no == 2
+        assert "repeats" in str(err.value)
+
     def test_missing_topology_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("seeds = 1\n")

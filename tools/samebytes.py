@@ -1,0 +1,106 @@
+"""Same-bytes audit: run the audit cells in one or two source trees and print
+one sha256 over every `Metrics` field of every cell.
+
+    python3 tools/samebytes.py TREE [TREE2]
+
+The 84 audit cells are eight_node with 4 protocols x 6 BERs x seeds 1-2, and
+grid5 with 4 protocols x {2e-6, 1e-4, 2e-4} x seeds 1-3, each on its
+topology's stock flows cut to 10 s. Each tree runs in its own child process
+that imports ``meshnc`` from ``TREE/src``. Given two trees, it also names the
+first cell whose metrics differ and the fields that differ there, and exits
+1 if any cell does. Standard library only. One tree takes about 12 s on one
+core of a 2-vCPU host with Python 3.11, and two trees run side by side.
+"""
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+CELLS = (
+    ("eight_node", (2e-6, 2e-5, 5e-5, 8e-5, 1e-4, 2e-4), (1, 2)),
+    ("grid5", (2e-6, 1e-4, 2e-4), (1, 2, 3)),
+)
+FLOW_SECONDS = 10.0
+
+
+def cell_lines() -> list[str]:
+    """One line per cell, "kind protocol ber seed" and then every `Metrics`
+    field as name=value, counters as their sorted items, tab-separated."""
+    from meshnc import (Flow, Protocol, Scenario, build_topology,
+                        default_flows, run)
+    lines = []
+    for kind, bers, seeds in CELLS:
+        topo = build_topology(kind)
+        flows = tuple(Flow(f.src, f.dst, f.interval, FLOW_SECONDS)
+                      for f in default_flows(kind))
+        for protocol in Protocol:
+            for ber in bers:
+                scenario = Scenario(kind, topo, protocol, ber, flows)
+                for seed in seeds:
+                    m = run(scenario, seed)
+                    fields = [f"{kind} {protocol.name.lower()} {ber!r} {seed}"]
+                    for f in dataclasses.fields(m):
+                        value = getattr(m, f.name)
+                        if isinstance(value, dict):
+                            value = sorted(value.items())
+                        fields.append(f"{f.name}={value}")
+                    lines.append("\t".join(fields))
+    return lines
+
+
+def start(tree: Path) -> subprocess.Popen:
+    src = str(tree.resolve() / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.Popen([sys.executable, __file__, "--cells"], cwd=tree,
+                            env=env, stdout=subprocess.PIPE, text=True)
+
+
+def finish(tree: Path, proc: subprocess.Popen) -> list[str]:
+    out, _ = proc.communicate()
+    if proc.returncode != 0:
+        raise SystemExit(f"samebytes: the cells failed in {tree} "
+                         f"with exit {proc.returncode}")
+    return out.splitlines()
+
+
+def first_difference(a: list[str], b: list[str]) -> str | None:
+    for line_a, line_b in zip(a, b):
+        if line_a != line_b:
+            cell, *fields_a = line_a.split("\t")
+            fields_b = line_b.split("\t")[1:]
+            names = [fa.partition("=")[0]
+                     for fa, fb in zip(fields_a, fields_b) if fa != fb]
+            return f"{cell}: {', '.join(names) or 'cell names'} differ"
+    if len(a) != len(b):
+        return f"cell counts differ: {len(a)} against {len(b)}"
+    return None
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--cells"]:
+        print("\n".join(cell_lines()))
+        return 0
+    if not 1 <= len(argv) <= 2 or any(a.startswith("-") for a in argv):
+        print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
+        return 2
+    trees = [Path(a) for a in argv]
+    procs = [start(tree) for tree in trees]
+    results = [finish(tree, proc) for tree, proc in zip(trees, procs)]
+    for tree, lines in zip(trees, results):
+        digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+        print(f"{digest}  {len(lines)} cells  {tree}")
+    if len(trees) == 2:
+        diff = first_difference(*results)
+        print("same bytes" if diff is None else f"first difference: {diff}")
+        return int(diff is not None)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
