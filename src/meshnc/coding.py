@@ -29,12 +29,17 @@ class TimerParams:
 
 
 class NeighborKnowledge:
-    """Per-neighbor belief about which payloads that neighbor holds.
+    """Per-neighbor belief about which payloads that neighbor holds, kept
+    only for the neighbors in `hops`: the hops this node can ever send to
+    (`routing.sendable_hops`), since a mix is gated on what the next hops
+    hold and nothing else reads a belief.
 
     Fed by piggybacked reception reports, overheard ACKs and broadcast
-    inference. Each neighbor keeps at most `cap` entries, oldest evicted
-    first; that cap is the only way entries leave during a run, since the
-    node runtime never calls `prune`.
+    inference. A write about a neighbor outside `hops` is dropped, and a
+    read about one raises KeyError, as an invariant check. Each neighbor
+    keeps at most `cap` entries, oldest evicted first; that cap is the only
+    way entries leave during a run, since the node runtime never calls
+    `prune`.
 
     The node runtime makes one batched update per received frame: `merge`
     records many payloads at one neighbor (a reception report plus the
@@ -46,10 +51,11 @@ class NeighborKnowledge:
 
     __slots__ = ("_held", "cap")
 
-    def __init__(self, cap: int = 256):
+    def __init__(self, hops: Iterable[NodeId], cap: int = 256):
         if cap < 0:
             raise ValueError("knowledge cap must be non-negative")
-        self._held: dict[NodeId, OrderedDict[PayloadId, float]] = {}
+        self._held: dict[NodeId, OrderedDict[PayloadId, float]] = {
+            n: OrderedDict() for n in sorted(hops)}
         self.cap = cap
 
     def add(self, neighbor: NodeId, pid: PayloadId, now: float = 0.0) -> None:
@@ -59,9 +65,7 @@ class NeighborKnowledge:
               now: float = 0.0) -> None:
         entries = self._held.get(neighbor)
         if entries is None:
-            if not pids:
-                return
-            entries = self._held[neighbor] = OrderedDict()
+            return
         to_end = entries.move_to_end
         for pid in pids:
             entries[pid] = now
@@ -77,18 +81,17 @@ class NeighborKnowledge:
         for neighbor in neighbors:
             entries = held.get(neighbor)
             if entries is None:
-                entries = held[neighbor] = OrderedDict()
+                continue
             entries[pid] = now
             entries.move_to_end(pid)
             if len(entries) > cap:
                 entries.popitem(last=False)
 
     def knows(self, neighbor: NodeId, pid: PayloadId) -> bool:
-        entries = self._held.get(neighbor)
-        return entries is not None and pid in entries
+        return pid in self._held[neighbor]
 
     def holds_all(self, neighbor: NodeId, pids: Iterable[PayloadId]) -> bool:
-        entries = self._held.get(neighbor, ())
+        entries = self._held[neighbor]
         return all(pid in entries for pid in pids)
 
     def prune(self, now: float, ttl: float) -> None:

@@ -25,7 +25,7 @@ from .channel import ChannelParams, sample_reception
 from .core import Ack, Frame, NativePacket, PayloadId, ack_frame_bits
 from .node import Metrics, NodeState, SendAck, StartTimer, TxIntent
 from .params import Scenario
-from .routing import build_forwarding_tables, check_flows, next_hop
+from .routing import build_forwarding_tables, next_hop, sendable_hops
 
 E_TRAFFIC = 0
 E_GRANT = 1
@@ -90,14 +90,15 @@ class Simulation:
         self.node_order = self.topo.nodes()
         size = self.params.payload_size
         check = lambda pid: make_payload(pid, size)  # noqa: E731
+        hops = sendable_hops(self.topo, self.tables, scenario.flows,
+                             scenario.protocol)
         self.nodes = {
             n: NodeState(n, scenario.protocol, self.params, self.tables,
-                         self.nbrs, self.metrics, payload_check=check)
+                         self.nbrs, hops[n], self.metrics, payload_check=check)
             for n in self.node_order
         }
         # The grant scan's (id, node) pairs, in node order.
         self._by_id = tuple((n, self.nodes[n]) for n in self.node_order)
-        check_flows(self.topo, self.tables, scenario.flows)
 
         self._heap: list[tuple] = []
         self._seq = 0

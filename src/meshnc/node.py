@@ -133,13 +133,17 @@ class TxIntent:
 
 class NodeState:
     def __init__(self, node_id: NodeId, protocol: Protocol, params: SimParams,
-                 tables: ForwardingTables, nbrs: NeighborFn, metrics: Metrics,
+                 tables: ForwardingTables, nbrs: NeighborFn,
+                 hops: frozenset[NodeId], metrics: Metrics,
                  payload_check: Callable[[PayloadId], bytes] | None = None):
         self.node_id = node_id
         self.protocol = protocol
         self.params = params
         self.tables = tables
         self.nbrs = nbrs
+        # Every hop this node can ever send to (`routing.sendable_hops`):
+        # the only neighbors whose knowledge it keeps.
+        self.hops = hops
         self.metrics = metrics
         self.payload_check = payload_check
         self.deg = max(1, len(nbrs(node_id)))
@@ -160,9 +164,10 @@ class NodeState:
         self.retries: dict[PayloadId, int] = {}
         self.helper_timers: dict[PayloadId, HelperEntry] = {}
         self.delivered: set[PayloadId] = set()
-        self.knowledge = NeighborKnowledge(cap=params.knowledge_cap)
-        # Per transmitter: it and its neighbors other than this node, the
-        # nodes broadcast inference credits with what it sends.
+        self.knowledge = NeighborKnowledge(hops, cap=params.knowledge_cap)
+        # Per transmitter: it and its neighbors other than this node that
+        # are in `hops`, the nodes broadcast inference credits with what it
+        # sends.
         self._fanout: dict[NodeId, tuple[NodeId, ...]] = {}
         self._serve_mix_next = False
 
@@ -395,7 +400,8 @@ class NodeState:
         self._refresh_helper(pid, now, actions)
         if proto != PLAIN:
             know = self.knowledge
-            know.merge(tx, frame.reception_report, now)
+            if tx in self.hops:
+                know.merge(tx, frame.reception_report, now)
             self._pool_add(pid, p.payload, now)
             self._note_received(pid)
             # Broadcast inference: every neighbor of the transmitter heard
@@ -404,9 +410,9 @@ class NodeState:
             # protocols.
             fanout = self._fanout.get(tx)
             if fanout is None:
-                me = self.node_id
-                fanout = self._fanout[tx] = (
-                    tx, *(m for m in self.nbrs(tx) if m != me))
+                me, hops = self.node_id, self.hops
+                fanout = self._fanout[tx] = tuple(
+                    m for m in (tx, *self.nbrs(tx)) if m != me and m in hops)
             know.add_to_all(fanout, pid, now)
 
         if p.next_hop == self.node_id:
@@ -441,10 +447,12 @@ class NodeState:
             self._cede_custody(comp.id, comp.intended_next_hop)
             self._refresh_helper(comp.id, now, actions)
         if proto != PLAIN:
-            self.knowledge.merge(
-                c.sender,
-                (*frame.reception_report, *(comp.id for comp in c.components)),
-                now)
+            if c.sender in self.hops:
+                self.knowledge.merge(
+                    c.sender,
+                    (*frame.reception_report,
+                     *(comp.id for comp in c.components)),
+                    now)
             self._harvest_components(c, now)
 
         for i, comp in enumerate(c.components):
@@ -481,7 +489,7 @@ class NodeState:
                ) -> list[Action]:
         sender = ack.ack_sender
         pid = ack.payload
-        if self.protocol != PLAIN:
+        if self.protocol != PLAIN and sender in self.hops:
             self.knowledge.merge(sender, (*report, pid), now)
         sender_hood = self.nbrs(sender)
 
@@ -673,9 +681,9 @@ class NodeState:
         """Positionally mixable, and each receiver believed to hold the
         packet it must peel off."""
         know = self.knowledge
-        return (a.next_hop != b.next_hop and bend_mixable(a, b, self.nbrs)
-                and know.knows(a.next_hop, b.id)
-                and know.knows(b.next_hop, a.id))
+        return (a.next_hop != b.next_hop and know.knows(a.next_hop, b.id)
+                and know.knows(b.next_hop, a.id)
+                and bend_mixable(a, b, self.nbrs))
 
     def _take_partner(self, pkt: NativePacket,
                       heads_only: bool) -> Optional[QueueEntry]:
@@ -691,13 +699,20 @@ class NodeState:
             if self._mixable(pkt, e.pkt):
                 del self.q1[i]
                 return e
+        # `_mixable`, with the redirected packet built only for entries
+        # that pass its hop tests.
+        know, hop = self.knowledge, pkt.next_hop
         for i, (pid, h) in enumerate(self.q2.items()):
             if i and heads_only:
                 break
+            onward = h.onward
+            if (onward == hop or not know.knows(hop, pid)
+                    or not know.knows(onward, pkt.id)):
+                continue
             p = h.pkt
-            cand = NativePacket(pid, p.src, p.dst, p.prev_hop, h.onward,
+            cand = NativePacket(pid, p.src, p.dst, p.prev_hop, onward,
                                 p.payload, p.second_next_hop)
-            if self._mixable(pkt, cand):
+            if bend_mixable(pkt, cand, self.nbrs):
                 del self.q2[pid]
                 self.helper_timers.pop(pid, None)
                 return QueueEntry(cand, 0.0)

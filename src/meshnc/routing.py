@@ -4,16 +4,16 @@ Routing is modeled as the converged state of a distance-vector protocol over
 a static topology: minimum-hop routes with ties broken by lowest next-hop id.
 Each node additionally holds a copy of every neighbor's table so it can
 answer "next hop from neighbor m toward d" locally. `check_flows` is the one
-test that a set of flows can be routed at all.
+test that a set of flows can be routed at all, and `sendable_hops` names,
+per node, every hop it can ever address a packet to.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .channel import Topology
-from .core import NodeId
+from .core import NodeId, Protocol
 
 
 class RoutingError(KeyError):
@@ -43,21 +43,22 @@ def build_forwarding_tables(topo: Topology) -> ForwardingTables:
     own: dict[NodeId, dict[NodeId, NodeId]] = {n: {} for n in ids}
     hops: dict[NodeId, dict[NodeId, int]] = {n: {} for n in ids}
     for dst in ids:
-        dist = {dst: 0}
-        frontier = deque([dst])
-        while frontier:
-            u = frontier.popleft()
-            for v in sorted(adj[u]):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    frontier.append(v)
-        for n in ids:
-            if n == dst or n not in dist:
-                continue
-            # Lowest-id neighbor strictly closer to dst.
-            nh = min(m for m in adj[n] if dist.get(m, -1) == dist[n] - 1)
-            own[n][dst] = nh
-            hops[n][dst] = dist[n]
+        seen = {dst}
+        layer = [dst]
+        d = 0
+        while layer:
+            d += 1
+            found = []
+            # Each layer in ascending id order, so the first node that
+            # reaches v is v's lowest-id neighbor one hop closer to dst.
+            for u in layer:
+                for v in adj[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        own[v][dst] = u
+                        hops[v][dst] = d
+                        found.append(v)
+            layer = sorted(found)
 
     copies = {n: {m: own[m] for m in sorted(adj[n])} for n in ids}
     return ForwardingTables(own=own, neighbor_copies=copies, hops=hops)
@@ -75,6 +76,44 @@ def check_flows(topo: Topology, tables: ForwardingTables,
         if fl.dst not in tables.own[fl.src]:
             raise ValueError(
                 f"no route between flow endpoints {fl.src} and {fl.dst}")
+
+
+def sendable_hops(topo: Topology, tables: ForwardingTables, flows: Iterable,
+                  protocol: Protocol) -> dict[NodeId, frozenset[NodeId]]:
+    """Per node, every hop it can ever address a packet to, after
+    `check_flows` has accepted the flows.
+
+    Every next hop a packet of flow f carries lies on f's route chain
+    `src -> next_hop(src, dst) -> ... -> dst`: a source, an intended
+    forwarder and a helper each read it from a chain node's table, and
+    decoding, retransmission and mix splits keep it. So a node sends only
+    to its successor on each chain it sits on and, under bend and flexonc,
+    as a helper standing in for a chain node c[j] it neighbours: to c[j+1]
+    when that is its neighbour too, or to c[j] when c[j] is the destination.
+    """
+    flows = tuple(flows)
+    check_flows(topo, tables, flows)
+    adj = topo.adjacency()
+    helping = protocol in (Protocol.BEND, Protocol.FLEXONC)
+    hops: dict[NodeId, set[NodeId]] = {n: set() for n in topo.nodes()}
+    for fl in flows:
+        dst = fl.dst
+        chain = [fl.src]
+        while chain[-1] != dst:
+            chain.append(tables.own[chain[-1]][dst])
+        for n, succ in zip(chain, chain[1:]):
+            hops[n].add(succ)
+        if not helping:
+            continue
+        # A packet's next hop is never its source, so helpers stand in for
+        # c[1] onward.
+        for j in range(1, len(chain)):
+            intended = chain[j]
+            onward = chain[j + 1] if intended != dst else dst
+            for helper in adj[intended]:
+                if onward == intended or onward in adj[helper]:
+                    hops[helper].add(onward)
+    return {n: frozenset(h) for n, h in hops.items()}
 
 
 def next_hop(tables: ForwardingTables, n: NodeId, dst: NodeId) -> NodeId:

@@ -27,6 +27,10 @@ from meshnc import (
 )
 
 
+# The next hops the selection tests address; their knowledge is kept.
+HOPS = range(10, 20)
+
+
 def native(flow, seq, nxt, prev, dst=99, src=98):
     return NativePacket(id=PayloadId(flow, seq), src=src, dst=dst,
                         prev_hop=prev, next_hop=nxt, payload=b"p")
@@ -56,7 +60,7 @@ class TestCopeSelect:
         # opposite packet.
         a = native(0, 0, nxt=10, prev=1)
         b = native(1, 0, nxt=11, prev=2)
-        know = NeighborKnowledge()
+        know = NeighborKnowledge(HOPS)
         know.add(10, b.id)
         know.add(11, a.id)
         return a, b, know
@@ -72,7 +76,7 @@ class TestCopeSelect:
     def test_missing_knowledge_blocks(self):
         a = native(0, 0, nxt=10, prev=1)
         b = native(1, 0, nxt=11, prev=2)
-        know = NeighborKnowledge()
+        know = NeighborKnowledge(HOPS)
         know.add(11, a.id)  # 10 knows nothing about b
         assert cope_select(a, [b], know) == [a]
 
@@ -81,7 +85,7 @@ class TestCopeSelect:
         good = native(1, 0, nxt=11, prev=2)
         same_hop = native(2, 0, nxt=10, prev=2)   # duplicate next hop
         unknown = native(3, 0, nxt=12, prev=2)    # no knowledge either way
-        know = NeighborKnowledge()
+        know = NeighborKnowledge(HOPS)
         know.add(10, good.id)
         know.add(11, a.id)
         got = cope_select(a, [same_hop, unknown, good], know)
@@ -99,7 +103,7 @@ class TestCopeSelect:
         head = native(0, 0, nxt=rng.choice(hop_pool), prev=1)
         cands = [native(1 + i, 0, nxt=rng.choice(hop_pool), prev=2)
                  for i in range(n_cand)]
-        know = NeighborKnowledge()
+        know = NeighborKnowledge(HOPS)
         everyone = [head] + cands
         for p in everyone:
             for q in everyone:
@@ -131,7 +135,7 @@ class TestCopeSelect:
     def test_component_cap(self):
         head = native(0, 0, nxt=10, prev=1)
         cands = [native(1 + i, 0, nxt=11 + i, prev=2) for i in range(6)]
-        know = NeighborKnowledge()
+        know = NeighborKnowledge(HOPS)
         for p in [head] + cands:
             for q in [head] + cands:
                 if p is not q:
@@ -143,28 +147,35 @@ class TestCopeSelect:
 class TestNeighborKnowledge:
     @staticmethod
     def state(know):
-        """Every neighbor's entries in key order: what eviction reads."""
-        return [(n, list(entries.items())) for n, entries in know._held.items()]
+        """Every kept neighbor's entries in key order: what eviction reads."""
+        return {n: list(entries.items()) for n, entries in know._held.items()}
 
+    # Neighbors 0-5 against hop sets drawn from them, so updates reach
+    # neighbors outside the set as well as in it.
     _pids = st.builds(PayloadId, st.integers(0, 1), st.integers(0, 3))
     _ops = st.one_of(
-        st.tuples(st.just("merge"), st.integers(0, 3),
+        st.tuples(st.just("merge"), st.integers(0, 5),
                   st.lists(_pids, max_size=8).map(tuple)),
         st.tuples(st.just("fan_out"),
-                  st.lists(st.integers(0, 3), max_size=5).map(tuple), _pids),
+                  st.lists(st.integers(0, 5), max_size=5).map(tuple), _pids),
     )
 
     @settings(max_examples=200, deadline=None)
-    @given(cap=st.integers(0, 4), ops=st.lists(_ops, max_size=30))
-    def test_batched_updates_match_one_add_per_entry(self, cap, ops):
+    @given(cap=st.integers(0, 4), hops=st.frozensets(st.integers(0, 5)),
+           ops=st.lists(_ops, max_size=30))
+    def test_batched_updates_match_one_add_per_entry(self, cap, hops, ops):
         # A small payload space and small caps make reports repeat entries
         # and evict on most updates. `model` is the cap-bounded
-        # recency list that `add` must keep, written out by hand.
-        batched, single = NeighborKnowledge(cap), NeighborKnowledge(cap)
-        model: dict = {}
+        # recency list that `add` must keep, written out by hand, for the
+        # neighbors in `hops`; an update about any other leaves no state.
+        batched = NeighborKnowledge(hops, cap)
+        single = NeighborKnowledge(hops, cap)
+        model: dict = {n: [] for n in hops}
 
         def model_add(neighbor, pid, now):
-            entries = model.setdefault(neighbor, [])
+            if neighbor not in hops:
+                return
+            entries = model[neighbor]
             entries[:] = [e for e in entries if e[0] != pid] + [(pid, now)]
             del entries[:max(0, len(entries) - cap)]
 
@@ -179,11 +190,23 @@ class TestNeighborKnowledge:
                 single.add(neighbor, pid, float(now))
                 model_add(neighbor, pid, float(now))
             assert self.state(batched) == self.state(single)
-            assert self.state(single) == list(model.items())
+            assert self.state(single) == model
+
+    def test_reads_outside_the_hop_set_raise(self):
+        know = NeighborKnowledge((1, 2))
+        pid = PayloadId(0, 0)
+        know.add(1, pid)
+        know.add(3, pid)
+        assert know.knows(1, pid) and not know.knows(2, pid)
+        assert know.holds_all(1, [pid]) and not know.holds_all(2, [pid])
+        with pytest.raises(KeyError):
+            know.knows(3, pid)
+        with pytest.raises(KeyError):
+            know.holds_all(3, ())
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):
-            NeighborKnowledge(-1)
+            NeighborKnowledge((), -1)
 
 
 class TestBendMixable:

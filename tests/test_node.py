@@ -39,8 +39,11 @@ def ctx():
 
 
 def make_node(ctx, node_id, protocol, params=PARAMS):
+    # The packets here are built by hand rather than from flows, so the
+    # node keeps knowledge of every neighbor: a superset of any hop set.
     _, tables, nbrs = ctx
-    return NodeState(node_id, protocol, params, tables, nbrs, Metrics())
+    return NodeState(node_id, protocol, params, tables, nbrs,
+                     frozenset(nbrs(node_id)), Metrics())
 
 
 def native(flow, seq, *, src, dst, prev, nxt, payload=b"\xaa" * 8, second=None):

@@ -2,6 +2,8 @@
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meshnc import (
     Flow,
@@ -81,6 +83,25 @@ class TestBuildTables:
         topo, t = eight
         # 6 -> 4 is two hops via either 3 or 7; lowest id wins.
         assert next_hop(t, 6, 4) == 3
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
+                    min_size=1, max_size=20))
+    def test_next_hop_is_lowest_id_neighbor_one_hop_closer(self, points):
+        # Random points with a 300 m range: some meshes split, some tie.
+        topo = Topology({i: (float(x), float(y))
+                         for i, (x, y) in enumerate(points)}, 300.0)
+        t = build_forwarding_tables(topo)
+        adj = topo.adjacency()
+        for dst in topo.nodes():
+            dist = bfs_distances(topo, dst)
+            for n in topo.nodes():
+                if n == dst or n not in dist:
+                    assert dst not in t.own[n] and dst not in t.hops[n]
+                    continue
+                assert t.own[n][dst] == min(
+                    m for m in adj[n] if dist.get(m) == dist[n] - 1)
+                assert t.hops[n][dst] == dist[n]
 
     def test_next_hop_is_neighbor(self, any_topo):
         topo, t = any_topo

@@ -1,4 +1,7 @@
 """Topology builders, default traffic patterns and config parsing."""
+import re
+from pathlib import Path
+
 import pytest
 
 from meshnc import (
@@ -10,7 +13,7 @@ from meshnc import (
     neighbors,
     parse_config,
 )
-from meshnc.config import _FLOAT_PARAMS, DEFAULT_BERS, DEFAULT_SEEDS
+from meshnc.config import _FLOAT_PARAMS, _INT_PARAMS, DEFAULT_BERS, DEFAULT_SEEDS
 
 
 class TestBuildTopology:
@@ -250,3 +253,30 @@ class TestParseConfig:
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("\n# note\ntopology = x_topo  # inline\n\n")
         assert cfg.topology_kind == "x_topo"
+
+
+class TestReadmeConfigKeys:
+    @staticmethod
+    def ini_block():
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+    def test_knob_list_names_every_numeric_key(self):
+        block = self.ini_block()
+        # Knob lines are indented comments without '='; `range` has a
+        # line of its own beside `node`.
+        knobs = [k for line in re.findall(r"^#   ([a-z_, ]+)$", block, re.M)
+                 for k in re.split(r",\s*", line.strip().rstrip(","))]
+        assert len(knobs) == len(set(knobs))
+        assert "#   range = " in block
+        assert set(knobs) | {"range"} == _FLOAT_PARAMS | _INT_PARAMS
+
+    def test_every_key_named_is_accepted(self):
+        block = self.ini_block()
+        keys = set(re.findall(r"^[#\s]*([a-z_]+) =", block, re.M))
+        keys |= _FLOAT_PARAMS | _INT_PARAMS
+        for key in sorted(keys):
+            try:
+                parse_config(f"topology = x_topo\n{key} = 1\n")
+            except ConfigError as exc:
+                assert "unknown key" not in str(exc), key

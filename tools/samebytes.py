@@ -3,12 +3,12 @@ one sha256 over every `Metrics` field of every cell.
 
     python3 tools/samebytes.py TREE [TREE2]
 
-The 84 audit cells are eight_node with 4 protocols x 6 BERs x seeds 1-2, and
-grid5 with 4 protocols x {2e-6, 1e-4, 2e-4} x seeds 1-3, each on its
-topology's stock flows cut to 10 s. Each tree runs in its own child process
+The 132 audit cells are eight_node and x_topo, each with 4 protocols x 6 BERs
+x seeds 1-2, and grid5 with 4 protocols x {2e-6, 1e-4, 2e-4} x seeds 1-3, each
+on its topology's stock flows cut to 10 s. Each tree runs in its own child process
 that imports ``meshnc`` from ``TREE/src``. Given two trees, it also names the
 first cell whose metrics differ and the fields that differ there, and exits
-1 if any cell does. Standard library only. One tree takes about 12 s on one
+1 if any cell does. Standard library only. One tree takes about 9 s on one
 core of a 2-vCPU host with Python 3.11, and two trees run side by side.
 """
 from __future__ import annotations
@@ -20,9 +20,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+SIX_BERS = (2e-6, 2e-5, 5e-5, 8e-5, 1e-4, 2e-4)
 CELLS = (
-    ("eight_node", (2e-6, 2e-5, 5e-5, 8e-5, 1e-4, 2e-4), (1, 2)),
+    ("eight_node", SIX_BERS, (1, 2)),
     ("grid5", (2e-6, 1e-4, 2e-4), (1, 2, 3)),
+    ("x_topo", SIX_BERS, (1, 2)),
 )
 FLOW_SECONDS = 10.0
 
