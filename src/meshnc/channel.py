@@ -67,15 +67,17 @@ def frame_loss_probability(ber: float, bits: int) -> float:
 
 
 def sample_reception(frame: Frame, topo: Topology, params: ChannelParams,
-                     rng: random.Random) -> set[NodeId]:
-    """Draw the set of neighbors that receive a broadcast frame intact.
+                     rng: random.Random) -> tuple[NodeId, ...]:
+    """Draw the neighbors that receive a broadcast frame intact.
 
-    Each neighbor succeeds independently with probability (1-ber)^bits; draws
-    are consumed in ascending NodeId order so runs are reproducible.
+    Each neighbor succeeds independently with probability (1-ber)^bits. The
+    draws are consumed in ascending NodeId order, so runs are reproducible,
+    and the receivers come back in that order, as an ascending tuple.
     """
     sender = frame.transmitter
     heard_by = topo._sorted_adj.get(sender)
     if heard_by is None:
         raise KeyError(f"unknown sender {sender}")
     p_ok = (1.0 - params.ber) ** frame.bits
-    return {m for m in heard_by if rng.random() < p_ok}
+    rand = rng.random
+    return tuple([m for m in heard_by if rand() < p_ok])

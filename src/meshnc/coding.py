@@ -47,9 +47,11 @@ class NeighborKnowledge:
     neighbors (broadcast inference). Both leave exactly the state that one
     `add` per entry, in iteration order, would leave: the same keys in the
     same order per neighbor, hence the same evictions.
+
+    `n_hops` is the size of the hop set.
     """
 
-    __slots__ = ("_held", "cap")
+    __slots__ = ("_held", "cap", "n_hops")
 
     def __init__(self, hops: Iterable[NodeId], cap: int = 256):
         if cap < 0:
@@ -57,6 +59,7 @@ class NeighborKnowledge:
         self._held: dict[NodeId, OrderedDict[PayloadId, float]] = {
             n: OrderedDict() for n in sorted(hops)}
         self.cap = cap
+        self.n_hops = len(self._held)
 
     def add(self, neighbor: NodeId, pid: PayloadId, now: float = 0.0) -> None:
         self.add_to_all((neighbor,), pid, now)
@@ -103,7 +106,7 @@ class NeighborKnowledge:
                 entries.popitem(last=False)
 
 
-def cope_select(head: NativePacket, candidates: list[NativePacket],
+def cope_select(head: NativePacket, candidates: Iterable[NativePacket],
                 knowledge: NeighborKnowledge,
                 max_components: int = 4) -> list[NativePacket]:
     """Greedy scan of `candidates` in queue order, growing a codable set.
@@ -111,6 +114,10 @@ def cope_select(head: NativePacket, candidates: list[NativePacket],
     A candidate joins when (a) its next hop is not already served by the set
     and (b) after adding it, every member's next hop is believed to hold all
     *other* members. The singleton [head] is always a valid outcome.
+
+    Every next hop must be in the knowledge's hop set, as reading knowledge
+    about any other hop raises. So once every hop in that set is blocked,
+    no later candidate can join, and the scan stops.
     """
     selected = [head]
     ids = [head.id]
@@ -118,8 +125,9 @@ def cope_select(head: NativePacket, candidates: list[NativePacket],
     # one believed to lack a member. Members are only ever added, so a hop
     # found lacking one stays blocked for the rest of the scan.
     blocked = {head.next_hop}
+    n_hops = knowledge.n_hops
     for cand in candidates:
-        if len(selected) >= max_components:
+        if len(selected) >= max_components or len(blocked) >= n_hops:
             break
         hop = cand.next_hop
         if hop in blocked:

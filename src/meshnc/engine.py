@@ -11,8 +11,12 @@ machinery locks data out of the window right after a data frame in which its
 receivers acknowledge, one staggered slot per coded component.
 
 Identical (scenario, seed) pairs replay identical event sequences: the heap
-orders events by (time, sequence number), receivers are visited in ascending
-node id, and a single random stream is consumed in event order.
+orders events by (time, sequence number), receivers are visited in the
+order `sample_reception` returns them (ascending node id, the order in
+which it consumes its draws), and a single random stream is consumed in
+event order. Nodes answer a frame with actions (ACKs to send, timers to
+arm); an ACK changes only the state of the nodes that hear it, so `on_ack`
+returns none.
 """
 from __future__ import annotations
 
@@ -23,7 +27,8 @@ from typing import Optional
 
 from .channel import ChannelParams, sample_reception
 from .core import Ack, Frame, NativePacket, PayloadId, ack_frame_bits
-from .node import Metrics, NodeState, SendAck, StartTimer, TxIntent
+from .node import (Metrics, NodeState, SendAck, StartTimer, TxIntent,
+                   most_components)
 from .params import Scenario
 from .routing import build_forwarding_tables, next_hop, sendable_hops
 
@@ -58,8 +63,11 @@ def mac_grant(contenders: list[int], now: float, rng: random.Random,
     puts every tied contender on the air simultaneously — a collision.
     Backoff is continuous, so ties only occur under rigged random streams.
     """
-    draws = [rng.random() * cw for _ in contenders]
+    rand = rng.random
+    draws = [rand() * cw for _ in contenders]
     best = min(draws)
+    if draws.count(best) == 1:
+        return [contenders[draws.index(best)]], now + best * slot_time
     winners = [c for c, d in zip(contenders, draws) if d == best]
     return winners, now + best * slot_time
 
@@ -99,6 +107,15 @@ class Simulation:
         }
         # The grant scan's (id, node) pairs, in node order.
         self._by_id = tuple((n, self.nodes[n]) for n in self.node_order)
+        # The ACK window after a data frame, indexed by its component
+        # count. The trailing turnaround keeps the next data grant strictly
+        # after the last in-window ACK has been processed by its receivers.
+        p = self.params
+        ack_air = ack_frame_bits() / p.data_rate
+        self._ack_window = (None, *(
+            2 * p.turnaround + (n - 1) * p.ack_stagger + ack_air
+            for n in range(1, most_components(
+                p, max(map(len, adj.values()), default=0)) + 1)))
 
         self._heap: list[tuple] = []
         self._seq = 0
@@ -130,14 +147,6 @@ class Simulation:
                 self._schedule(due, E_ACK_TX, nid, act.ack)
             elif type(act) is StartTimer:
                 self._schedule(act.at, E_TIMER, nid, (act.kind, act.key))
-
-    def _ack_window(self, intent: TxIntent) -> float:
-        # Trailing turnaround keeps the next data grant strictly after the
-        # last in-window ACK has been processed by its receivers.
-        p = self.params
-        n = intent.n_components
-        return (2 * p.turnaround + (n - 1) * p.ack_stagger
-                + ack_frame_bits() / p.data_rate)
 
     # ------------------------------------------------------------------ run
 
@@ -175,8 +184,10 @@ class Simulation:
                 self._on_ack_end(a, b)
             elif kind == E_TIMER:
                 node = self.nodes[a]
-                self._apply(a, node.on_timer(b[0], b[1], t))
-                if node.ready(t):
+                actions = node.on_timer(b[0], b[1], t)
+                if actions:
+                    self._apply(a, actions)
+                if self._grant_at is None and node.ready(t):
                     self._maybe_grant()
             elif kind == E_TRAFFIC:
                 self._on_traffic(a, b)
@@ -207,7 +218,8 @@ class Simulation:
         self.metrics.generated_count[flow_index] += 1
         self.metrics.generated_bytes[flow_index] += len(payload)
         node = self.nodes[fl.src]
-        if node.enqueue_source(pkt, self.now) and node.ready(self.now):
+        if (node.enqueue_source(pkt, self.now) and self._grant_at is None
+                and node.ready(self.now)):
             self._maybe_grant()
         t_next = (k + 1) * fl.interval
         if t_next < fl.duration:
@@ -221,57 +233,61 @@ class Simulation:
     def _on_grant(self) -> None:
         self._grant_at = None
         self._flush_ack_backlog()
-        gate = max(self.busy_until, self.lockout_until)
-        if self.now < gate - 1e-15:
+        now = self.now
+        if now < max(self.busy_until, self.lockout_until) - 1e-15:
             self._maybe_grant()
             return
-        now = self.now
         contenders = [n for n, node in self._by_id if node.ready(now)]
         if not contenders:
             return
-        winners, start = mac_grant(contenders, self.now, self.rng,
-                                   self.params.slot_time, self.params.cw)
-        # Every winner was ready at now <= start, so each has an intent.
-        intents = [(w, self.nodes[w].select_transmission(start))
-                   for w in winners]
-        m = self.metrics
-        for w, intent in intents:
-            air = intent.frame.bits / self.params.data_rate
-            end = start + air
+        p = self.params
+        winners, start = mac_grant(contenders, now, self.rng, p.slot_time, p.cw)
+        m, nodes, windows = self.metrics, self.nodes, self._ack_window
+        collided = len(winners) > 1
+        others: tuple[int, ...] = ()
+        for w in winners:
+            # Every winner was ready at now <= start, so each has an intent.
+            intent = nodes[w].select_transmission(start)
+            n = len(intent.natives)
+            end = start + intent.frame.bits / p.data_rate
             m.tx_data += 1
-            if intent.n_components > 1:
+            if n > 1:
                 m.tx_coded += 1
             m.retx += intent.retx_count
-            others = tuple(x for x, _ in intents if x != w)
+            if collided:
+                others = tuple(x for x in winners if x != w)
             self._schedule(end, E_FRAME_END, (w, intent), others)
             if end > self.busy_until:
                 self.busy_until = end
-            lock = end + self._ack_window(intent)
+            lock = end + windows[n]
             if lock > self.lockout_until:
                 self.lockout_until = lock
-        if len(contenders) > len(intents):
+        if len(contenders) > len(winners):
             self._maybe_grant()
 
     def _on_frame_end(self, tx: tuple[int, TxIntent], others: tuple[int, ...],
                       ) -> None:
         w, intent = tx
         node = self.nodes[w]
-        self._apply(w, node.after_transmit(intent, self.now))
-
-        receivers = sample_reception(intent.frame, self.topo, self.chan, self.rng)
+        now = self.now
+        self._apply(w, node.after_transmit(intent, now))
+        frame = intent.frame
+        receivers = sample_reception(frame, self.topo, self.chan, self.rng)
         if others:
             # A receiver in range of any other simultaneous transmitter hears
             # only garbage; the colliding transmitters themselves hear nothing.
-            receivers -= set(others)
-            receivers = {r for r in receivers
-                         if not any(r in self._adj[o] for o in others)}
-        any_ready = node.ready(self.now)
-        for r in sorted(receivers):
-            rnode = self.nodes[r]
-            self._apply(r, rnode.on_data_frame(intent.frame, self.now))
-            any_ready = any_ready or rnode.ready(self.now)
+            adj = self._adj
+            receivers = [r for r in receivers if r not in others
+                         and not any(r in adj[o] for o in others)]
+        nodes = self.nodes
+        for r in receivers:
+            actions = nodes[r].on_data_frame(frame, now)
+            if actions:
+                self._apply(r, actions)
         self._flush_ack_backlog()
-        if any_ready:
+        # ready() only reads, and a grant already due makes the answer moot.
+        if self._grant_at is None and (
+                node.ready(now) or any(nodes[r].ready(now) for r in receivers)):
             self._maybe_grant()
 
     def _transmit_ack(self, nid: int, ack: Ack) -> None:
@@ -288,14 +304,12 @@ class Simulation:
 
     def _on_ack_end(self, nid: int, frame: Frame) -> None:
         receivers = sample_reception(frame, self.topo, self.chan, self.rng)
-        ack = frame.body
-        any_ready = False
-        for r in sorted(receivers):
-            rnode = self.nodes[r]
-            self._apply(r, rnode.on_ack(ack, frame.reception_report, self.now))
-            any_ready = any_ready or rnode.ready(self.now)
+        ack, report = frame.body, frame.reception_report
+        now, nodes = self.now, self.nodes
+        for r in receivers:
+            nodes[r].on_ack(ack, report, now)
         self._flush_ack_backlog()
-        if any_ready:
+        if self._grant_at is None and any(nodes[r].ready(now) for r in receivers):
             self._maybe_grant()
 
 

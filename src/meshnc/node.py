@@ -1,10 +1,13 @@
 """Per-node protocol state machine.
 
 One NodeState instance per node per run, driven by the event engine through
-four entry points: on_data_frame, on_ack, on_timer and select_transmission.
-Handlers return lightweight actions (ACKs to send, timers to arm); the
-engine owns the clock and the medium, the node owns queues, the decode pool,
-pending-retransmission records, helper timers and duplicate suppression.
+five entry points: on_data_frame, on_ack, on_timer, select_transmission and
+after_transmit. The frame, timer and transmit handlers return lightweight
+actions (ACKs to send, timers to arm); an ACK only updates state, so on_ack
+returns nothing. The engine owns the clock and the medium and asks
+`ready` whether a node contends for it, the one place the eligibility rule
+is written; the node owns queues, the decode pool, pending-retransmission
+records, helper timers and duplicate suppression.
 
 Frame reception walks the receiver-side flowchart: the intended forwarder of
 a native or decodable coded packet admits it, ACKs and progresses it; an
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .coding import (
     NeighborFn,
@@ -119,8 +122,7 @@ class Metrics:
     events: int = 0
 
 
-@dataclass(slots=True)
-class TxIntent:
+class TxIntent(NamedTuple):
     """One granted transmission: the frame plus sender-side bookkeeping."""
     frame: Frame
     natives: tuple[NativePacket, ...]
@@ -129,6 +131,14 @@ class TxIntent:
     @property
     def n_components(self) -> int:
         return len(self.natives)
+
+
+def most_components(params: SimParams, n_hops: int) -> int:
+    """The most natives one frame can carry when its sender has `n_hops`
+    neighbors: a BEND or FLEXONC mix holds two, a COPE frame up to
+    `max_cope_components`, and every native is bound for a distinct
+    neighbor."""
+    return max(2, min(params.max_cope_components, n_hops))
 
 
 class NodeState:
@@ -159,7 +169,7 @@ class NodeState:
         self._pool_stamps: dict[PayloadId, float] = {}
         self.recent_rx: deque[PayloadId] = deque(maxlen=REPORT_LEN)
         self.ack_cache: deque[tuple[NodeId, PayloadId]] = deque()
-        self._acked_by: dict[PayloadId, dict[NodeId, int]] = {}
+        self._acked_by: dict[PayloadId, list[NodeId]] = {}
         self.pending: dict[PayloadId, PendingEntry] = {}
         self.retries: dict[PayloadId, int] = {}
         self.helper_timers: dict[PayloadId, HelperEntry] = {}
@@ -170,6 +180,10 @@ class NodeState:
         # sends.
         self._fanout: dict[NodeId, tuple[NodeId, ...]] = {}
         self._serve_mix_next = False
+        # The ACK wait after sending a frame, indexed by its component count.
+        self._ack_wait = (None, *(
+            sender_timeout(protocol, n, self.deg, params.timers)
+            for n in range(1, most_components(params, self.deg) + 1)))
 
     # ------------------------------------------------------------------ utils
 
@@ -192,26 +206,24 @@ class NodeState:
         self.recent_rx.append(pid)
 
     def _ack_cache_add(self, sender: NodeId, pid: PayloadId) -> None:
-        """Remember an ACK in the FIFO `ack_cache`. `_acked_by[pid]` counts
-        each sender's copies of (sender, pid) in the deque, so an eviction
-        retires the sender exactly when its pair's last copy leaves."""
+        """Remember an ACK in the FIFO `ack_cache`. `_acked_by[pid]` lists
+        the sender of each cached ACK for pid, in arrival order. The cache
+        evicts its oldest pair, which is the oldest for its payload too, so
+        an eviction removes the head of that payload's list."""
         cache, acked_by = self.ack_cache, self._acked_by
         cache.append((sender, pid))
         senders = acked_by.get(pid)
         if senders is None:
-            acked_by[pid] = {sender: 1}
+            acked_by[pid] = [sender]
         else:
-            senders[sender] = senders.get(sender, 0) + 1
+            senders.append(sender)
         if len(cache) > self.params.ack_cache_cap:
-            old_sender, old_pid = cache.popleft()
+            old_pid = cache.popleft()[1]
             senders = acked_by[old_pid]
-            left = senders[old_sender] - 1
-            if left:
-                senders[old_sender] = left
+            if len(senders) == 1:
+                del acked_by[old_pid]
             else:
-                del senders[old_sender]
-                if not senders:
-                    del acked_by[old_pid]
+                del senders[0]
 
     def _make_ack(self, pid: PayloadId) -> Ack:
         ack = Ack(self.node_id, pid)
@@ -486,7 +498,7 @@ class NodeState:
     # ----------------------------------------------------------------- acks
 
     def on_ack(self, ack: Ack, report: tuple[PayloadId, ...], now: float,
-               ) -> list[Action]:
+               ) -> None:
         sender = ack.ack_sender
         pid = ack.payload
         if self.protocol != PLAIN and sender in self.hops:
@@ -517,7 +529,6 @@ class NodeState:
                 del self.helper_timers[pid]
 
         self._ack_cache_add(sender, pid)
-        return []
 
     def _drop_buffered_on_ack(self, pid: PayloadId, sender: NodeId) -> None:
         """Discard the one queued copy of `pid` if an ACK from `sender`
@@ -621,7 +632,8 @@ class NodeState:
     def ready(self, now: float) -> bool:
         if self.mixing_q:
             return True
-        return bool(self.q1) and self.q1[0].eligible_at <= now + 1e-12
+        q1 = self.q1
+        return bool(q1) and q1[0].eligible_at <= now + 1e-12
 
     def _stamp_for_tx(self, pkt: NativePacket) -> NativePacket:
         second = None
@@ -636,7 +648,8 @@ class NodeState:
                      data_frame_bits(len(body.payload)))
 
     def select_transmission(self, now: float) -> Optional[TxIntent]:
-        q1_ok = bool(self.q1) and self.q1[0].eligible_at <= now + 1e-12
+        q1 = self.q1
+        q1_ok = bool(q1) and q1[0].eligible_at <= now + 1e-12
         if self.mixing_q and (self._serve_mix_next or not q1_ok):
             m = self.mixing_q.popleft()
             self._queued.difference_update(n.id for n in m.natives)
@@ -646,30 +659,37 @@ class NodeState:
             return None
         self._serve_mix_next = True
 
-        head_entry = self.q1.popleft()
+        head_entry = q1.popleft()
         head = head_entry.pkt
         proto = self.protocol
 
         riders: list[QueueEntry] = []
         if proto == COPE:
-            candidates = [e.pkt for e in self.q1]
-            chosen = cope_select(head, candidates, self.knowledge,
+            chosen = cope_select(head, (e.pkt for e in q1), self.knowledge,
                                  self.params.max_cope_components)
-            if len(chosen) > 1:
-                chosen_ids = {p.id for p in chosen[1:]}
-                riders = [e for e in self.q1 if e.pkt.id in chosen_ids]
-                self.q1 = deque(e for e in self.q1
-                                if e.pkt.id not in chosen_ids)
+            # The riders, in queue order, leave q1 in place.
+            i = 0
+            for p in chosen[1:]:
+                while q1[i].pkt is not p:
+                    i += 1
+                riders.append(q1[i])
+                del q1[i]
         elif proto in HELPING:
             rider = self._take_partner(head, heads_only=False)
             if rider is not None:
                 riders = [rider]
 
         if not riders:
-            native = self._stamp_for_tx(head)
-            self._queued.discard(native.id)
-            return TxIntent(self._build_data_frame(native), (native,),
-                            int(head_entry.retx))
+            self._queued.discard(head.id)
+            if proto == BEND:
+                native = self._stamp_for_tx(head)
+            else:
+                native = NativePacket(head.id, head.src, head.dst,
+                                      self.node_id, head.next_hop,
+                                      head.payload)
+            frame = Frame(native, tuple(self.recent_rx),
+                          data_frame_bits(len(native.payload)))
+            return TxIntent(frame, (native,), int(head_entry.retx))
         retx_count = int(head_entry.retx) + sum(int(e.retx) for e in riders)
         natives = tuple(self._stamp_for_tx(p)
                         for p in [head] + [e.pkt for e in riders])
@@ -720,8 +740,7 @@ class NodeState:
 
     def after_transmit(self, intent: TxIntent, end: float) -> list[Action]:
         """Arm pending-ACK records once the frame has left the air."""
-        deadline = end + sender_timeout(self.protocol, intent.n_components,
-                                        self.deg, self.params.timers)
+        deadline = end + self._ack_wait[len(intent.natives)]
         actions: list[Action] = []
         for native in intent.natives:
             self.pending[native.id] = PendingEntry(pkt=native, deadline=deadline)

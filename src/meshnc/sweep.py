@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-import statistics
 from contextlib import nullcontext
 from dataclasses import dataclass
-from multiprocessing import Pool
 
 from .config import ScenarioConfig
 from .core import Protocol
@@ -90,6 +88,8 @@ def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
     when jobs > 1; rows come back in sweep order."""
     cells = sweep_cells(cfg)
     rows: list[dict] = []
+    if jobs > 1:
+        from multiprocessing import Pool  # only a pooled sweep pays for it
     with Pool(processes=jobs) if jobs > 1 else nullcontext() as pool:
         results = (pool.imap if pool else map)(_worker, [(cfg, c) for c in cells])
         for i, cell in enumerate(cells):
@@ -122,6 +122,7 @@ def write_csv(rows: list[dict], header: list[str], path: str) -> None:
 
 def cell_stats(rows: list[dict]) -> list[dict]:
     """Per-cell mean and standard deviation of aggregate throughput."""
+    import statistics  # only the gain tables need it
     samples: dict[tuple[str, str, str], list[float]] = {}
     for row in rows:
         if row["flow"] != "total":

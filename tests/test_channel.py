@@ -98,7 +98,7 @@ class TestSampleReception:
         params = ChannelParams(ber=0.0)
         rng = random.Random(1)
         got = sample_reception(dummy_frame(1), topo, params, rng)
-        assert got == {0, 2, 5, 6}
+        assert got == (0, 2, 5, 6)
 
     def test_determinism_same_seed(self):
         topo = build_topology("eight_node")
@@ -124,7 +124,25 @@ class TestSampleReception:
         rng = random.Random(3)
         for n in topo.nodes():
             got = sample_reception(dummy_frame(n), topo, params, rng)
-            assert got <= neighbors(topo, n)
+            assert type(got) is tuple and list(got) == sorted(set(got))
+            assert set(got) <= neighbors(topo, n)
+
+    @given(kind=st.sampled_from(["x_topo", "eight_node", "grid5"]),
+           pick=st.integers(0, 24), ber=st.floats(0.0, 3e-4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_matches_one_draw_per_neighbor_in_ascending_order(
+            self, kind, pick, ber, seed):
+        topo = build_topology(kind)
+        nodes = topo.nodes()
+        sender = nodes[pick % len(nodes)]
+        params = ChannelParams(ber=ber)
+        rng, replay = random.Random(seed), random.Random(seed)
+        got = sample_reception(dummy_frame(sender), topo, params, rng)
+        p_ok = (1.0 - ber) ** DATA_BITS
+        assert got == tuple(m for m in sorted(neighbors(topo, sender))
+                            if replay.random() < p_ok)
+        assert rng.getstate() == replay.getstate()
 
     def test_empirical_rate_matches_closed_form(self):
         # Monte-Carlo against the analytic per-neighbor success probability,

@@ -132,6 +132,47 @@ class TestCopeSelect:
         if len(maximal_sets) == 1 and len(best) == len(got) - 1:
             assert got == [head] + list(maximal_sets[0])
 
+    @staticmethod
+    def unpruned_select(head, candidates, knowledge, max_components=4):
+        """cope_select without its early stop: every candidate is scanned."""
+        selected, ids, blocked = [head], [head.id], {head.next_hop}
+        for cand in candidates:
+            if len(selected) >= max_components:
+                break
+            hop = cand.next_hop
+            if hop in blocked:
+                continue
+            if not knowledge.holds_all(hop, ids):
+                blocked.add(hop)
+                continue
+            if not all(knowledge.knows(p.next_hop, cand.id) for p in selected):
+                continue
+            selected.append(cand)
+            ids.append(cand.id)
+            blocked.add(hop)
+        return selected
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data(), hops=st.sets(st.integers(10, 17), min_size=1),
+           n_cand=st.integers(0, 25), cap=st.integers(0, 5),
+           p_known=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    def test_stopping_once_every_hop_is_blocked_changes_nothing(
+            self, data, hops, n_cand, cap, p_known):
+        # As in a node's queue, every next hop is in the knowledge's hop
+        # set; candidates are passed as a one-shot iterator, as q1 is.
+        hops = sorted(hops)
+        rng = random.Random(data.draw(st.integers(0, 10**6)))
+        head = native(0, 0, nxt=rng.choice(hops), prev=1)
+        cands = [native(1 + i, 0, nxt=rng.choice(hops), prev=2)
+                 for i in range(n_cand)]
+        know = NeighborKnowledge(hops)
+        for hop in hops:
+            for p in [head] + cands:
+                if rng.random() < p_known:
+                    know.add(hop, p.id)
+        got = cope_select(head, iter(cands), know, cap)
+        assert got == self.unpruned_select(head, cands, know, cap)
+
     def test_component_cap(self):
         head = native(0, 0, nxt=10, prev=1)
         cands = [native(1 + i, 0, nxt=11 + i, prev=2) for i in range(6)]

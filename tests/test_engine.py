@@ -2,6 +2,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import meshnc.engine as engine_mod
 from meshnc import (
@@ -56,6 +58,47 @@ class TestMacGrant:
         winners, start = mac_grant([1, 2, 3], 0.0, RiggedRandom(), 20e-6, 32)
         assert winners == [1, 2, 3]
         assert start == pytest.approx(0.5 * 32 * 20e-6)
+
+
+class ScriptedRandom(random.Random):
+    """Returns the given values from random(), in order."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def reference_grant(contenders, now, rng, slot_time, cw):
+    """mac_grant as a plain list comprehension over every draw."""
+    draws = [rng.random() * cw for _ in contenders]
+    best = min(draws)
+    return ([c for c, d in zip(contenders, draws) if d == best],
+            now + best * slot_time)
+
+
+class TestMacGrantOracle:
+    @given(data=st.data(), n=st.integers(1, 30),
+           cw=st.one_of(st.sampled_from([1, 3, 7, 31, 32, 100, 1023]),
+                        st.integers(1, 2048)),
+           now=st.floats(0.0, 200.0), slot_time=st.floats(1e-6, 1e-3),
+           coarse=st.booleans())
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_the_reference_comprehension(self, data, n, cw, now,
+                                                 slot_time, coarse):
+        # Coarse draws come from a few values, so ties among many
+        # contenders are common; fine ones rarely tie.
+        values = st.sampled_from([0.0, 0.125, 0.5, 0.875]) if coarse else \
+            st.floats(0.0, 1.0, exclude_max=True)
+        draws = data.draw(st.lists(values, min_size=n, max_size=n))
+        contenders = data.draw(st.lists(st.integers(0, 99), min_size=n,
+                                        max_size=n, unique=True))
+        rng, ref_rng = ScriptedRandom(draws + [0.3]), ScriptedRandom(draws)
+        got = mac_grant(contenders, now, rng, slot_time, cw)
+        assert got == reference_grant(contenders, now, ref_rng, slot_time, cw)
+        assert rng.values == [0.3]  # one draw per contender, no more
 
 
 class TestCollision:

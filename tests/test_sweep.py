@@ -1,9 +1,12 @@
 """Sweep orchestration, CSV schemas, gain-table algebra and the CLI."""
 import csv
 import os
+import subprocess
+import sys
 
 import pytest
 
+import meshnc
 from meshnc import gain_table, parse_config, run_sweep
 from meshnc.cli import main
 from meshnc.sweep import (
@@ -57,6 +60,23 @@ class TestRunSweep:
     def test_schema(self, small_rows):
         _, rows = small_rows
         assert set(rows[0]) == set(RUNS_HEADER)
+
+    def test_pooled_sweep_equals_the_serial_one(self, small_rows):
+        cfg, rows = small_rows
+        pooled = run_sweep(cfg, jobs=2)
+        assert rows_to_csv(pooled, RUNS_HEADER) == rows_to_csv(rows, RUNS_HEADER)
+
+    def test_importing_meshnc_loads_no_process_pool(self):
+        # Only a pooled sweep needs multiprocessing, and only the gain
+        # tables need statistics; a plain import pays for neither.
+        code = ("import sys, meshnc; "
+                "print(sorted({'multiprocessing', 'statistics'} "
+                "& set(sys.modules)))")
+        src = os.path.dirname(os.path.dirname(meshnc.__file__))
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "[]"
 
     def test_single_cell_config(self):
         cfg = parse_config(

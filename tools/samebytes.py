@@ -3,19 +3,27 @@ one sha256 over every `Metrics` field of every cell.
 
     python3 tools/samebytes.py TREE [TREE2]
 
-The 132 audit cells are eight_node and x_topo, each with 4 protocols x 6 BERs
-x seeds 1-2, and grid5 with 4 protocols x {2e-6, 1e-4, 2e-4} x seeds 1-3, each
-on its topology's stock flows cut to 10 s. Each tree runs in its own child process
-that imports ``meshnc`` from ``TREE/src``. Given two trees, it also names the
-first cell whose metrics differ and the fields that differ there, and exits
-1 if any cell does. Standard library only. One tree takes about 9 s on one
-core of a 2-vCPU host with Python 3.11, and two trees run side by side.
+The 156 audit cells are, first, eight_node and x_topo, each with 4 protocols
+x 6 BERs x seeds 1-2, and grid5 with 4 protocols x {2e-6, 1e-4, 2e-4} x seeds
+1-3, each on its topology's stock flows cut to 10 s. Then come 24 collision
+cells: eight_node, x_topo and grid5, each with 4 protocols x seeds 1-2 at BER
+1e-4, on the stock flows cut to 5 s, with the run's random stream rounded to
+eighths (``CoarseRandom``). Stock runs never draw two equal backoffs, so only
+these cells send colliding frames: each has tens to hundreds of tied grants,
+and still delivers payloads.
+
+Each tree runs in its own child process that imports ``meshnc`` from
+``TREE/src``. Given two trees, it also names the first cell whose metrics
+differ and the fields that differ there, and exits 1 if any cell does.
+Standard library only. One tree takes about 10 s on one core of a 2-vCPU host
+with Python 3.11, and two trees run side by side.
 """
 from __future__ import annotations
 
 import dataclasses
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -27,30 +35,51 @@ CELLS = (
     ("x_topo", SIX_BERS, (1, 2)),
 )
 FLOW_SECONDS = 10.0
+COARSE_CELLS = (
+    ("eight_node", (1e-4,), (1, 2)),
+    ("x_topo", (1e-4,), (1, 2)),
+    ("grid5", (1e-4,), (1, 2)),
+)
+COARSE_FLOW_SECONDS = 5.0
+
+
+class CoarseRandom(random.Random):
+    """A random stream rounded to eighths, so that contenders often draw
+    the same backoff and their frames collide."""
+
+    def random(self) -> float:
+        return round(super().random() * 8) / 8
 
 
 def cell_lines() -> list[str]:
-    """One line per cell, "kind protocol ber seed" and then every `Metrics`
-    field as name=value, counters as their sorted items, tab-separated."""
-    from meshnc import (Flow, Protocol, Scenario, build_topology,
-                        default_flows, run)
+    """One line per cell, "kind protocol ber seed" (plus "coarse" for a
+    collision cell) and then every `Metrics` field as name=value, counters
+    as their sorted items, tab-separated."""
+    from meshnc import (Flow, Protocol, Scenario, Simulation, build_topology,
+                        default_flows)
     lines = []
-    for kind, bers, seeds in CELLS:
-        topo = build_topology(kind)
-        flows = tuple(Flow(f.src, f.dst, f.interval, FLOW_SECONDS)
-                      for f in default_flows(kind))
-        for protocol in Protocol:
-            for ber in bers:
-                scenario = Scenario(kind, topo, protocol, ber, flows)
-                for seed in seeds:
-                    m = run(scenario, seed)
-                    fields = [f"{kind} {protocol.name.lower()} {ber!r} {seed}"]
-                    for f in dataclasses.fields(m):
-                        value = getattr(m, f.name)
-                        if isinstance(value, dict):
-                            value = sorted(value.items())
-                        fields.append(f"{f.name}={value}")
-                    lines.append("\t".join(fields))
+    for cells, seconds, coarse in ((CELLS, FLOW_SECONDS, False),
+                                   (COARSE_CELLS, COARSE_FLOW_SECONDS, True)):
+        for kind, bers, seeds in cells:
+            topo = build_topology(kind)
+            flows = tuple(Flow(f.src, f.dst, f.interval, seconds)
+                          for f in default_flows(kind))
+            for protocol in Protocol:
+                for ber in bers:
+                    scenario = Scenario(kind, topo, protocol, ber, flows)
+                    for seed in seeds:
+                        sim = Simulation(scenario, seed)
+                        if coarse:
+                            sim.rng = CoarseRandom(seed)
+                        m = sim.run()
+                        fields = [f"{kind} {protocol.name.lower()} {ber!r} "
+                                  f"{seed}" + (" coarse" if coarse else "")]
+                        for f in dataclasses.fields(m):
+                            value = getattr(m, f.name)
+                            if isinstance(value, dict):
+                                value = sorted(value.items())
+                            fields.append(f"{f.name}={value}")
+                        lines.append("\t".join(fields))
     return lines
 
 
