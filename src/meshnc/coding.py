@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, Optional, Sequence
 
 from .core import CodedComponent, CodedPacket, NativePacket, NodeId, PayloadId, Protocol, decodable
 from .routing import ForwardingTables, RoutingError, neighbor_next_hop
@@ -92,6 +92,10 @@ class NeighborKnowledge:
 
     def knows(self, neighbor: NodeId, pid: PayloadId) -> bool:
         return pid in self._held[neighbor]
+
+    def held(self, neighbor: NodeId) -> Container[PayloadId]:
+        """What `neighbor` is believed to hold, for repeated `in` tests."""
+        return self._held[neighbor]
 
     def holds_all(self, neighbor: NodeId, pids: Iterable[PayloadId]) -> bool:
         entries = self._held[neighbor]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Container, NamedTuple, Optional
 
 from .coding import (
     NeighborFn,
@@ -28,7 +28,8 @@ from .coding import (
     cope_select,
     flexonc_eligible,
     helper_hold_time,
-    priority_index,
+    priority_index,  # noqa: F401  (wrapped here by bench/meshbench.py)
+    priority_list,
     sender_timeout,
 )
 from .core import (
@@ -42,7 +43,6 @@ from .core import (
     Protocol,
     ack_frame_bits,
     data_frame_bits,
-    decodable,
     decode,
     encode,
 )
@@ -128,10 +128,6 @@ class TxIntent(NamedTuple):
     natives: tuple[NativePacket, ...]
     retx_count: int
 
-    @property
-    def n_components(self) -> int:
-        return len(self.natives)
-
 
 def most_components(params: SimParams, n_hops: int) -> int:
     """The most natives one frame can carry when its sender has `n_hops`
@@ -167,6 +163,9 @@ class NodeState:
         self._queued: set[PayloadId] = set()
         self.pool: OrderedDict[PayloadId, bytes] = OrderedDict()
         self._pool_stamps: dict[PayloadId, float] = {}
+        # The head's stamp at the last eviction scan: as stamps never
+        # decrease, no entry expires while the TTL floor is at or below it.
+        self._pool_oldest = float("-inf")
         self.recent_rx: deque[PayloadId] = deque(maxlen=REPORT_LEN)
         self.ack_cache: deque[tuple[NodeId, PayloadId]] = deque()
         self._acked_by: dict[PayloadId, list[NodeId]] = {}
@@ -175,6 +174,7 @@ class NodeState:
         self.helper_timers: dict[PayloadId, HelperEntry] = {}
         self.delivered: set[PayloadId] = set()
         self.knowledge = NeighborKnowledge(hops, cap=params.knowledge_cap)
+        self._ranks: dict[tuple[NodeId, NodeId], dict[NodeId, int]] = {}
         # Per transmitter: it and its neighbors other than this node that
         # are in `hops`, the nodes broadcast inference credits with what it
         # sends.
@@ -193,12 +193,12 @@ class NodeState:
         pool.move_to_end(pid)
         stamps[pid] = now
         floor = now - self.params.pool_ttl
-        while pool:
+        while self._pool_oldest < floor and pool:
             old_pid = next(iter(pool))
-            if stamps[old_pid] >= floor:
-                break
-            pool.popitem(last=False)
-            del stamps[old_pid]
+            self._pool_oldest = stamps[old_pid]
+            if self._pool_oldest < floor:
+                pool.popitem(last=False)
+                del stamps[old_pid]
 
     def _note_received(self, pid: PayloadId) -> None:
         if pid in self.recent_rx:
@@ -319,19 +319,25 @@ class NodeState:
             return self._on_native(body, frame, now)
         return self._on_coded(body, frame, now)
 
-    def _harvest_components(self, c: CodedPacket, now: float) -> None:
-        """Peel every decodable component into the pool. Overheard coded
-        traffic would otherwise starve downstream decoding: a payload that
-        only ever crossed the air inside XORs leaves no pool entries behind."""
+    def _harvest_components(self, c: CodedPacket, now: float,
+                            ) -> Optional[NativePacket]:
+        """Peel every decodable component into the pool, so that overheard
+        coded traffic feeds downstream decoding. Returns the last native
+        peeled, or None if none was or if an add evicted a pooled payload,
+        which may be one that a peel read."""
         pool = self.pool
+        size = len(pool)
+        peeled = None
         for comp in c.components:
             if comp.id in pool:
                 continue
-            if decodable(c, pool, comp):
-                native = decode(c, pool, comp)
-                if native is not None:
-                    self._pool_add(native.id, native.payload, now)
-                    self._note_received(native.id)
+            native = decode(c, pool, comp)
+            if native is not None:
+                self._pool_add(native.id, native.payload, now)
+                self._note_received(native.id)
+                peeled = native
+                size += 1  # each peel adds one entry; an eviction drops one
+        return peeled if len(pool) == size else None
 
     def _cede_custody(self, pid: PayloadId, addressee: NodeId) -> None:
         """Another node was heard transmitting this payload to a third node:
@@ -392,11 +398,21 @@ class NodeState:
         except RoutingError:
             return None
 
+    def _rank_table(self, sender: NodeId, intended: NodeId) -> dict:
+        """`priority_index` of each node for a frame from `sender` to
+        `intended`, as a table; a node it would reject is missing."""
+        ranks = self._ranks.get((sender, intended))
+        if ranks is None:
+            listing = priority_list(sender, intended, self.nbrs)
+            ranks = self._ranks[sender, intended] = {
+                n: i for i, n in enumerate(listing)}
+        return ranks
+
     def _arm_helper(self, pkt: NativePacket, sender: NodeId, onward: NodeId,
                     now: float, actions: list[Action]) -> HelperEntry:
         """Hold `pkt`, heard from `sender` on its way to its next hop, to
         forward it to `onward` unless a closer node ACKs first."""
-        index = priority_index(self.node_id, sender, pkt.next_hop, self.nbrs)
+        index = self._rank_table(sender, pkt.next_hop)[self.node_id]
         fire = now + helper_hold_time(index, self.params.timers)
         entry = self.helper_timers[pkt.id] = HelperEntry(
             pkt, sender, onward, fire, index)
@@ -458,6 +474,7 @@ class NodeState:
         for comp in c.components:
             self._cede_custody(comp.id, comp.intended_next_hop)
             self._refresh_helper(comp.id, now, actions)
+        peeled = None
         if proto != PLAIN:
             if c.sender in self.hops:
                 self.knowledge.merge(
@@ -465,11 +482,12 @@ class NodeState:
                     (*frame.reception_report,
                      *(comp.id for comp in c.components)),
                     now)
-            self._harvest_components(c, now)
+            peeled = self._harvest_components(c, now)
 
         for i, comp in enumerate(c.components):
             if comp.intended_next_hop == self.node_id:
-                native = decode(c, self.pool, comp)
+                native = (peeled if peeled and peeled.id == comp.id
+                          else decode(c, self.pool, comp))
                 if native is None:
                     self.metrics.drops["undecodable"] += 1
                     return actions  # silent; the sender discovers via timeout
@@ -486,7 +504,8 @@ class NodeState:
                                 self.pool)
         native = None
         if comp is not None and not self._in_custody(comp.id):
-            native = decode(c, self.pool, comp)
+            native = (peeled if peeled and peeled.id == comp.id
+                      else decode(c, self.pool, comp))
         if native is None or not self.admit_packet(native):
             self.metrics.drops["non_intended_coded"] += 1
             return actions
@@ -517,15 +536,11 @@ class NodeState:
 
         helper = self.helper_timers.get(pid)
         if helper is not None:
+            # A node with no rank outranks no helper.
             intended = helper.pkt.next_hop
-            cancel = sender == intended or intended in sender_hood
-            if not cancel:
-                try:
-                    cancel = priority_index(sender, helper.frame_sender,
-                                            intended, self.nbrs) < helper.index
-                except ValueError:
-                    cancel = False
-            if cancel:
+            if (sender == intended or intended in sender_hood
+                    or self._rank_table(helper.frame_sender, intended).get(
+                        sender, helper.index) < helper.index):
                 del self.helper_timers[pid]
 
         self._ack_cache_add(sender, pid)
@@ -697,14 +712,6 @@ class NodeState:
         return TxIntent(self._build_data_frame(encode(natives, self.node_id)),
                         natives, retx_count)
 
-    def _mixable(self, a: NativePacket, b: NativePacket) -> bool:
-        """Positionally mixable, and each receiver believed to hold the
-        packet it must peel off."""
-        know = self.knowledge
-        return (a.next_hop != b.next_hop and know.knows(a.next_hop, b.id)
-                and know.knows(b.next_hop, a.id)
-                and bend_mixable(a, b, self.nbrs))
-
     def _take_partner(self, pkt: NativePacket,
                       heads_only: bool) -> Optional[QueueEntry]:
         """Pop the first queued packet that may ride one coded frame with
@@ -713,30 +720,38 @@ class NodeState:
         not cancelled it already. `heads_only` looks at each queue's head
         alone. The partner keeps its `_queued` entry; a caller that sends
         it, rather than moving it to the mixing queue, retires the entry."""
+        hop, pid, nbrs = pkt.next_hop, pkt.id, self.nbrs
+        at_hop = self.knowledge.held(hop)
+        fits = self._fits
         for i, e in enumerate(self.q1):
             if i and heads_only:
                 break
-            if self._mixable(pkt, e.pkt):
+            p = e.pkt
+            if (fits(hop, pid, at_hop, p.next_hop, p.id)
+                    and bend_mixable(pkt, p, nbrs)):
                 del self.q1[i]
                 return e
-        # `_mixable`, with the redirected packet built only for entries
-        # that pass its hop tests.
-        know, hop = self.knowledge, pkt.next_hop
-        for i, (pid, h) in enumerate(self.q2.items()):
+        # The redirected packet is built only for entries that fit.
+        for i, (qid, h) in enumerate(self.q2.items()):
             if i and heads_only:
                 break
-            onward = h.onward
-            if (onward == hop or not know.knows(hop, pid)
-                    or not know.knows(onward, pkt.id)):
+            if not fits(hop, pid, at_hop, h.onward, qid):
                 continue
             p = h.pkt
-            cand = NativePacket(pid, p.src, p.dst, p.prev_hop, onward,
+            cand = NativePacket(qid, p.src, p.dst, p.prev_hop, h.onward,
                                 p.payload, p.second_next_hop)
-            if bend_mixable(pkt, cand, self.nbrs):
-                del self.q2[pid]
-                self.helper_timers.pop(pid, None)
+            if bend_mixable(pkt, cand, nbrs):
+                del self.q2[qid]
+                self.helper_timers.pop(qid, None)
                 return QueueEntry(cand, 0.0)
         return None
+
+    def _fits(self, hop: NodeId, pid: PayloadId, at_hop: Container[PayloadId],
+              other_hop: NodeId, other_id: PayloadId) -> bool:
+        """Mixable at the hop level: distinct next hops, each believed to
+        hold the other's packet (`at_hop` is what `hop` holds)."""
+        return (other_hop != hop and other_id in at_hop
+                and self.knowledge.knows(other_hop, pid))
 
     def after_transmit(self, intent: TxIntent, end: float) -> list[Action]:
         """Arm pending-ACK records once the frame has left the air."""

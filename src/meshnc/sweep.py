@@ -84,9 +84,10 @@ def _worker(args) -> list[dict]:
 
 def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
               progress=None) -> list[dict]:
-    """Run every (protocol, ber, seed) cell, in a pool of `jobs` processes
-    when jobs > 1; rows come back in sweep order."""
+    """Run every (protocol, ber, seed) cell, in a pool of min(`jobs`, cells)
+    processes when that is above 1; rows come back in sweep order."""
     cells = sweep_cells(cfg)
+    jobs = min(jobs, len(cells))
     rows: list[dict] = []
     if jobs > 1:
         from multiprocessing import Pool  # only a pooled sweep pays for it

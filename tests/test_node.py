@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meshnc.node
 from meshnc import (
     Ack,
     CodedPacket,
@@ -18,9 +19,12 @@ from meshnc import (
     build_topology,
     encode,
 )
+from meshnc.coding import bend_mixable, priority_index
 from meshnc.core import data_frame_bits
 from meshnc.node import (
+    HelperEntry,
     NodeState,
+    QueueEntry,
     SendAck,
     StartTimer,
     TIMER_HELPER,
@@ -99,6 +103,61 @@ class TestCodedReception:
         assert queued.next_hop == 3
         assert queued.payload == fwd.payload
 
+    def count_decodes(self, monkeypatch):
+        calls = []
+        decode = meshnc.node.decode
+
+        def counted(*args):
+            calls.append(args[2].id)
+            return decode(*args)
+
+        monkeypatch.setattr(meshnc.node, "decode", counted)
+        return calls
+
+    def test_intended_forwarder_decodes_once(self, ctx, monkeypatch):
+        # The harvest peels the missing component into the pool; the
+        # intended path takes that native instead of repeating the XOR.
+        calls = self.count_decodes(monkeypatch)
+        node = make_node(ctx, 2, Protocol.FLEXONC)
+        fwd, rev = example_pair()
+        node._pool_add(rev.id, rev.payload, 0.0)
+        actions = node.on_data_frame(
+            data_frame(encode([fwd, rev], sender=1)), now=1.0)
+        assert calls == [fwd.id]
+        assert [a.ack for a in acks_of(actions)] == [Ack(2, fwd.id)]
+        assert [e.pkt.payload for e in node.q1] == [fwd.payload]
+
+    def test_harvest_evicting_the_other_component_leaves_it_undecodable(
+            self, ctx, monkeypatch):
+        # With a tiny TTL the harvest's own pool add evicts the component
+        # it peeled against, so the intended forwarder decodes afresh and
+        # fails: no ACK, as if the harvest had not run.
+        calls = self.count_decodes(monkeypatch)
+        node = make_node(ctx, 2, Protocol.FLEXONC, SimParams(pool_ttl=0.1))
+        fwd, rev = example_pair()
+        node._pool_add(rev.id, rev.payload, 0.0)
+        actions = node.on_data_frame(
+            data_frame(encode([rev, fwd], sender=1)), now=1.0)
+        assert calls == [fwd.id, fwd.id]
+        assert list(node.pool) == [fwd.id]
+        assert acks_of(actions) == []
+        assert node.metrics.drops["undecodable"] == 1
+        assert not node.q1
+
+    def test_harvest_peels_an_evicted_component_again(self, ctx, monkeypatch):
+        # In header order the evicted component comes after the peeled
+        # one, so the harvest peels it back; the intended forwarder then
+        # decodes its own packet against that copy.
+        calls = self.count_decodes(monkeypatch)
+        node = make_node(ctx, 2, Protocol.FLEXONC, SimParams(pool_ttl=0.1))
+        fwd, rev = example_pair()
+        node._pool_add(rev.id, rev.payload, 0.0)
+        actions = node.on_data_frame(
+            data_frame(encode([fwd, rev], sender=1)), now=1.0)
+        assert calls == [fwd.id, rev.id, fwd.id]
+        assert [a.ack for a in acks_of(actions)] == [Ack(2, fwd.id)]
+        assert [e.pkt.payload for e in node.q1] == [fwd.payload]
+
     def test_undecodable_is_silent(self, ctx):
         node = make_node(ctx, 2, Protocol.FLEXONC)
         fwd, rev = example_pair()
@@ -145,7 +204,7 @@ class TestAckHandling:
         node.enqueue_source(rev, 0.0)
         seed_pair_evidence(node, fwd, rev)
         intent = node.select_transmission(now=1.0)
-        assert intent.n_components == 2
+        assert len(intent.natives) == 2
         node.after_transmit(intent, end=1.01)
         assert set(node.pending) == {fwd.id, rev.id}
         node.on_ack(Ack(2, fwd.id), (), now=1.011)
@@ -219,6 +278,103 @@ class TestAckHandling:
                 expected.setdefault(pid, set()).add(s)
             assert {pid: set(senders) for pid, senders
                     in node._acked_by.items()} == expected
+
+
+class TestRankTable:
+    @pytest.mark.parametrize("kind", ["x_topo", "eight_node", "grid5"])
+    def test_matches_priority_index(self, kind):
+        topo = build_topology(kind)
+        tables = build_forwarding_tables(topo)
+        nbrs = topo.adjacency().__getitem__
+        nodes = topo.nodes()
+        for receiver in nodes:
+            node = NodeState(receiver, Protocol.FLEXONC, PARAMS, tables, nbrs,
+                             frozenset(nbrs(receiver)), Metrics())
+            for sender in nodes:
+                for intended in nodes:
+                    rank = node._rank_table(sender, intended).get(receiver)
+                    try:
+                        expected = priority_index(receiver, sender, intended,
+                                                  nbrs)
+                    except ValueError:
+                        expected = None
+                    assert rank == expected, (receiver, sender, intended)
+
+
+def reference_take_partner(node, pkt, heads_only):
+    """`NodeState._take_partner` as a scan that tests every candidate with
+    one `mixable` conjunction."""
+    know, nbrs = node.knowledge, node.nbrs
+
+    def mixable(a, b):
+        return (a.next_hop != b.next_hop and know.knows(a.next_hop, b.id)
+                and know.knows(b.next_hop, a.id) and bend_mixable(a, b, nbrs))
+
+    for i, e in enumerate(node.q1):
+        if i and heads_only:
+            break
+        if mixable(pkt, e.pkt):
+            del node.q1[i]
+            return e
+    for i, (pid, h) in enumerate(node.q2.items()):
+        if i and heads_only:
+            break
+        p = h.pkt
+        cand = NativePacket(pid, p.src, p.dst, p.prev_hop, h.onward,
+                            p.payload, p.second_next_hop)
+        if mixable(pkt, cand):
+            del node.q2[pid]
+            node.helper_timers.pop(pid, None)
+            return QueueEntry(cand, 0.0)
+    return None
+
+
+class TestTakePartner:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_reference_scan(self, ctx, data):
+        topo, _, nbrs = ctx
+        node_id = data.draw(st.sampled_from(sorted(topo.nodes())))
+        hops = sorted(nbrs(node_id))
+        any_node = st.sampled_from(sorted(topo.nodes()))
+        hop = st.sampled_from(hops)
+        n_q1 = data.draw(st.integers(0, 6))
+        n_q2 = data.draw(st.integers(0, 4))
+        seqs = data.draw(st.lists(st.integers(0, 99), unique=True,
+                                  min_size=1 + n_q1 + n_q2,
+                                  max_size=1 + n_q1 + n_q2))
+
+        def packet(seq):
+            return native(0, seq, src=data.draw(any_node),
+                          dst=data.draw(any_node), prev=data.draw(any_node),
+                          nxt=data.draw(hop))
+
+        pkt = packet(seqs[0])
+        q1 = [QueueEntry(packet(seq), 0.0) for seq in seqs[1:1 + n_q1]]
+        q2 = [HelperEntry(packet(seq), data.draw(any_node), data.draw(hop),
+                          1.0, 1) for seq in seqs[1 + n_q1:]]
+        timed = [h.pkt.id for h in q2 if data.draw(st.booleans())]
+        known = {h: data.draw(st.sets(st.sampled_from(seqs))) for h in hops}
+        heads_only = data.draw(st.booleans())
+
+        def build():
+            node = make_node(ctx, node_id, Protocol.FLEXONC)
+            node.q1.extend(replace(e) for e in q1)
+            for h in q2:
+                node.q2[h.pkt.id] = replace(h)
+                if h.pkt.id in timed:
+                    node.helper_timers[h.pkt.id] = node.q2[h.pkt.id]
+            for h, held in known.items():
+                for seq in sorted(held):
+                    node.knowledge.add(h, PayloadId(0, seq))
+            return node
+
+        node, ref = build(), build()
+        assert (node._take_partner(pkt, heads_only)
+                == reference_take_partner(ref, pkt, heads_only))
+        assert list(node.q1) == list(ref.q1)
+        assert node.q2 == ref.q2 and list(node.q2) == list(ref.q2)
+        assert node.helper_timers == ref.helper_timers
 
 
 class TestTimerHandling:

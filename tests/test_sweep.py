@@ -78,6 +78,34 @@ class TestRunSweep:
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == "[]"
 
+    def test_pool_never_has_more_workers_than_cells(self, monkeypatch):
+        import multiprocessing
+
+        started = []
+
+        class InProcessPool:
+            """Records its size and maps in this process: no worker starts."""
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        base = ("topology = x_topo\nprotocol = plain\nber = 0\n"
+                "flow = 0, 3, 0.07, 1\n")
+        one = run_sweep(parse_config(base + "seed = 1\n"), jobs=8)
+        assert started == [] and len(one) == 2  # one cell runs serially
+        two = parse_config(base + "seeds = 1, 2\n")
+        assert run_sweep(two, jobs=8) == run_sweep(two)
+        assert started == [2]
+
     def test_single_cell_config(self):
         cfg = parse_config(
             "topology = x_topo\nprotocol = plain\nber = 0\nseed = 1\n"

@@ -1,21 +1,28 @@
 """Same-bytes audit: run the audit cells in one or two source trees and print
-one sha256 over every `Metrics` field of every cell.
+two sha256 digests over every `Metrics` field of every cell: one over the
+stock and collision cells, one over the eviction cells.
 
     python3 tools/samebytes.py TREE [TREE2]
 
-The 156 audit cells are, first, eight_node and x_topo, each with 4 protocols
+The 174 audit cells are, first, eight_node and x_topo, each with 4 protocols
 x 6 BERs x seeds 1-2, and grid5 with 4 protocols x {2e-6, 1e-4, 2e-4} x seeds
 1-3, each on its topology's stock flows cut to 10 s. Then come 24 collision
 cells: eight_node, x_topo and grid5, each with 4 protocols x seeds 1-2 at BER
 1e-4, on the stock flows cut to 5 s, with the run's random stream rounded to
 eighths (``CoarseRandom``). Stock runs never draw two equal backoffs, so only
 these cells send colliding frames: each has tens to hundreds of tied grants,
-and still delivers payloads.
+and still delivers payloads. Last come 18 eviction cells: eight_node, x_topo
+and grid5, each with cope, bend and flexonc x seeds 1-2 at BER 1e-4, on the
+stock flows cut to 5 s, with ``pool_ttl = 0.2``. Each evicts hundreds of
+pooled payloads, and most see a pool add evict a component of the coded
+frame being peeled, which no earlier cell exercises: a reuse of a peeled
+native that ignores such an eviction passes the first 156 cells but not
+these.
 
 Each tree runs in its own child process that imports ``meshnc`` from
 ``TREE/src``. Given two trees, it also names the first cell whose metrics
 differ and the fields that differ there, and exits 1 if any cell does.
-Standard library only. One tree takes about 10 s on one core of a 2-vCPU host
+Standard library only. One tree takes about 13 s on one core of a 2-vCPU host
 with Python 3.11, and two trees run side by side.
 """
 from __future__ import annotations
@@ -41,6 +48,11 @@ COARSE_CELLS = (
     ("grid5", (1e-4,), (1, 2)),
 )
 COARSE_FLOW_SECONDS = 5.0
+EVICT_CELLS = COARSE_CELLS
+EVICT_FLOW_SECONDS = 5.0
+EVICT_POOL_TTL = 0.2
+# The cells of the first digest: the stock cells, then the collision cells.
+FIRST_DIGEST_CELLS = 156
 
 
 class CoarseRandom(random.Random):
@@ -53,27 +65,34 @@ class CoarseRandom(random.Random):
 
 def cell_lines() -> list[str]:
     """One line per cell, "kind protocol ber seed" (plus "coarse" for a
-    collision cell) and then every `Metrics` field as name=value, counters
-    as their sorted items, tab-separated."""
-    from meshnc import (Flow, Protocol, Scenario, Simulation, build_topology,
-                        default_flows)
+    collision cell and "evict" for an eviction cell) and then every
+    `Metrics` field as name=value, counters as their sorted items,
+    tab-separated."""
+    from meshnc import (Flow, Protocol, Scenario, SimParams, Simulation,
+                        build_topology, default_flows)
+    stock, evict = SimParams(), SimParams(pool_ttl=EVICT_POOL_TTL)
+    coding = tuple(p for p in Protocol if p != Protocol.PLAIN)
     lines = []
-    for cells, seconds, coarse in ((CELLS, FLOW_SECONDS, False),
-                                   (COARSE_CELLS, COARSE_FLOW_SECONDS, True)):
+    for cells, seconds, protocols, params, tag in (
+            (CELLS, FLOW_SECONDS, tuple(Protocol), stock, ""),
+            (COARSE_CELLS, COARSE_FLOW_SECONDS, tuple(Protocol), stock,
+             " coarse"),
+            (EVICT_CELLS, EVICT_FLOW_SECONDS, coding, evict, " evict")):
         for kind, bers, seeds in cells:
             topo = build_topology(kind)
             flows = tuple(Flow(f.src, f.dst, f.interval, seconds)
                           for f in default_flows(kind))
-            for protocol in Protocol:
+            for protocol in protocols:
                 for ber in bers:
-                    scenario = Scenario(kind, topo, protocol, ber, flows)
+                    scenario = Scenario(kind, topo, protocol, ber, flows,
+                                        params)
                     for seed in seeds:
                         sim = Simulation(scenario, seed)
-                        if coarse:
+                        if tag == " coarse":
                             sim.rng = CoarseRandom(seed)
                         m = sim.run()
                         fields = [f"{kind} {protocol.name.lower()} {ber!r} "
-                                  f"{seed}" + (" coarse" if coarse else "")]
+                                  f"{seed}{tag}"]
                         for f in dataclasses.fields(m):
                             value = getattr(m, f.name)
                             if isinstance(value, dict):
@@ -124,8 +143,10 @@ def main(argv: list[str]) -> int:
     procs = [start(tree) for tree in trees]
     results = [finish(tree, proc) for tree, proc in zip(trees, procs)]
     for tree, lines in zip(trees, results):
-        digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
-        print(f"{digest}  {len(lines)} cells  {tree}")
+        for group in (lines[:FIRST_DIGEST_CELLS], lines[FIRST_DIGEST_CELLS:]):
+            digest = hashlib.sha256(
+                ("\n".join(group) + "\n").encode()).hexdigest()
+            print(f"{digest}  {len(group)} cells  {tree}")
     if len(trees) == 2:
         diff = first_difference(*results)
         print("same bytes" if diff is None else f"first difference: {diff}")
