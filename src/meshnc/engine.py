@@ -14,9 +14,10 @@ Identical (scenario, seed) pairs replay identical event sequences: the heap
 orders events by (time, sequence number), receivers are visited in the
 order `sample_reception` returns them (ascending node id, the order in
 which it consumes its draws), and a single random stream is consumed in
-event order. Nodes answer a frame with actions (ACKs to send, timers to
-arm); an ACK changes only the state of the nodes that hear it, so `on_ack`
-returns none.
+event order. Nodes answer a frame, a timer or their own transmission with
+the events they want scheduled, `(at, event, body)` tuples that the engine
+pushes in the order given; an ACK changes only the state of the nodes that
+hear it, so `on_ack` returns none.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import Optional
 
 from .channel import ChannelParams, sample_reception
 from .core import Ack, Frame, NativePacket, PayloadId, ack_frame_bits
-from .node import (Metrics, NodeState, SendAck, StartTimer, TxIntent,
+from .node import (E_ACK_TX, E_TIMER, Metrics, NodeState, TxIntent,
                    most_components)
 from .params import Scenario
 from .routing import build_forwarding_tables, next_hop, sendable_hops
@@ -35,9 +36,7 @@ from .routing import build_forwarding_tables, next_hop, sendable_hops
 E_TRAFFIC = 0
 E_GRANT = 1
 E_FRAME_END = 2
-E_ACK_TX = 3
 E_ACK_END = 4
-E_TIMER = 5
 
 MAX_EVENTS = 100_000_000
 
@@ -95,7 +94,6 @@ class Simulation:
         self.nbrs = adj.__getitem__
         self._adj = adj
         self.metrics = Metrics()
-        self.node_order = self.topo.nodes()
         size = self.params.payload_size
         check = lambda pid: make_payload(pid, size)  # noqa: E731
         hops = sendable_hops(self.topo, self.tables, scenario.flows,
@@ -103,10 +101,10 @@ class Simulation:
         self.nodes = {
             n: NodeState(n, scenario.protocol, self.params, self.tables,
                          self.nbrs, hops[n], self.metrics, payload_check=check)
-            for n in self.node_order
+            for n in self.topo.nodes()
         }
         # The grant scan's (id, node) pairs, in node order.
-        self._by_id = tuple((n, self.nodes[n]) for n in self.node_order)
+        self._by_id = tuple(self.nodes.items())
         # The ACK window after a data frame, indexed by its component
         # count. The trailing turnaround keeps the next data grant strictly
         # after the last in-window ACK has been processed by its receivers.
@@ -140,13 +138,9 @@ class Simulation:
         self._grant_at = g
         self._schedule(g, E_GRANT)
 
-    def _apply(self, nid: int, actions) -> None:
-        for act in actions:
-            if type(act) is SendAck:
-                due = self.now + self.params.turnaround + act.extra_delay
-                self._schedule(due, E_ACK_TX, nid, act.ack)
-            elif type(act) is StartTimer:
-                self._schedule(act.at, E_TIMER, nid, (act.kind, act.key))
+    def _apply(self, nid: int, actions: list[tuple]) -> None:
+        for at, event, body in actions:
+            self._schedule(at, event, nid, body)
 
     # ------------------------------------------------------------------ run
 

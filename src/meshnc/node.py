@@ -2,8 +2,10 @@
 
 One NodeState instance per node per run, driven by the event engine through
 five entry points: on_data_frame, on_ack, on_timer, select_transmission and
-after_transmit. The frame, timer and transmit handlers return lightweight
-actions (ACKs to send, timers to arm); an ACK only updates state, so on_ack
+after_transmit. The frame, timer and transmit handlers return the events the
+node wants scheduled, as `(at, event, body)` tuples the engine pushes onto
+its heap unchanged: an ACK to send (`E_ACK_TX`, body the `Ack`) or a timer
+to arm (`E_TIMER`, body `(kind, key)`). An ACK only updates state, so on_ack
 returns nothing. The engine owns the clock and the medium and asks
 `ready` whether a node contends for it, the one place the eligibility rule
 is written; the node owns queues, the decode pool, pending-retransmission
@@ -57,21 +59,9 @@ TIMER_PENDING = 0
 TIMER_HELPER = 1
 TIMER_WAKEUP = 2  # no node work: the engine re-polls ready() when it fires
 
-
-@dataclass(slots=True)
-class SendAck:
-    ack: Ack
-    extra_delay: float = 0.0
-
-
-@dataclass(slots=True)
-class StartTimer:
-    kind: int
-    key: object
-    at: float
-
-
-Action = object
+# The engine's event kinds for what a node schedules itself.
+E_ACK_TX = 3
+E_TIMER = 5
 
 
 @dataclass(slots=True)
@@ -313,7 +303,7 @@ class NodeState:
         self._queued.add(pkt.id)
         return True
 
-    def on_data_frame(self, frame: Frame, now: float) -> list[Action]:
+    def on_data_frame(self, frame: Frame, now: float) -> list[tuple]:
         body = frame.body
         if type(body) is NativePacket:
             return self._on_native(body, frame, now)
@@ -350,7 +340,7 @@ class NodeState:
             self.retries.pop(pid, None)
 
     def _refresh_helper(self, pid: PayloadId, now: float,
-                        actions: list[Action]) -> None:
+                        actions: list[tuple]) -> None:
         """A fresh transmission restarts the receiver-side race: push the
         hold window out so the new intended forwarder's ACK can beat us."""
         entry = self.helper_timers.get(pid)
@@ -359,10 +349,10 @@ class NodeState:
         fire = now + helper_hold_time(entry.index, self.params.timers)
         if fire > entry.fire_at:
             entry.fire_at = fire
-            actions.append(StartTimer(TIMER_HELPER, pid, fire))
+            actions.append((fire, E_TIMER, (TIMER_HELPER, pid)))
 
     def _accept(self, pkt: NativePacket, now: float, ack_delay: float,
-                actions: list[Action]) -> None:
+                actions: list[tuple]) -> None:
         """The intended forwarder's path for a received native or decoded
         component: suppress a duplicate, deliver at the destination, or
         queue it toward the next hop; every outcome is acknowledged."""
@@ -384,9 +374,10 @@ class NodeState:
                              onward_hop, pkt.payload),
                 eligible_at=eligible))
             self._queued.add(pkt.id)
-        actions.append(SendAck(self._make_ack(pkt.id), ack_delay))
+        actions.append((now + self.params.turnaround + ack_delay, E_ACK_TX,
+                        self._make_ack(pkt.id)))
         if eligible > now:
-            actions.append(StartTimer(TIMER_WAKEUP, None, eligible))
+            actions.append((eligible, E_TIMER, (TIMER_WAKEUP, None)))
 
     def _onward(self, intended: NodeId, dst: NodeId) -> Optional[NodeId]:
         """The hop after `intended` toward `dst`, read from this node's copy
@@ -409,18 +400,18 @@ class NodeState:
         return ranks
 
     def _arm_helper(self, pkt: NativePacket, sender: NodeId, onward: NodeId,
-                    now: float, actions: list[Action]) -> HelperEntry:
+                    now: float, actions: list[tuple]) -> HelperEntry:
         """Hold `pkt`, heard from `sender` on its way to its next hop, to
         forward it to `onward` unless a closer node ACKs first."""
         index = self._rank_table(sender, pkt.next_hop)[self.node_id]
         fire = now + helper_hold_time(index, self.params.timers)
         entry = self.helper_timers[pkt.id] = HelperEntry(
             pkt, sender, onward, fire, index)
-        actions.append(StartTimer(TIMER_HELPER, pkt.id, fire))
+        actions.append((fire, E_TIMER, (TIMER_HELPER, pkt.id)))
         return entry
 
-    def _on_native(self, p: NativePacket, frame: Frame, now: float) -> list[Action]:
-        actions: list[Action] = []
+    def _on_native(self, p: NativePacket, frame: Frame, now: float) -> list[tuple]:
+        actions: list[tuple] = []
         proto = self.protocol
         tx = p.prev_hop
         pid = p.id
@@ -450,7 +441,7 @@ class NodeState:
         return actions
 
     def _consider_native_helping(self, p: NativePacket, tx: NodeId, now: float,
-                                 actions: list[Action]) -> None:
+                                 actions: list[tuple]) -> None:
         if self._in_custody(p.id) or not self.admit_packet(p):
             return
         my_nbrs = self.nbrs(self.node_id)
@@ -468,8 +459,8 @@ class NodeState:
         self.q2[p.id] = self._arm_helper(p, tx, onward, now, actions)
         self._queued.add(p.id)
 
-    def _on_coded(self, c: CodedPacket, frame: Frame, now: float) -> list[Action]:
-        actions: list[Action] = []
+    def _on_coded(self, c: CodedPacket, frame: Frame, now: float) -> list[tuple]:
+        actions: list[tuple] = []
         proto = self.protocol
         for comp in c.components:
             self._cede_custody(comp.id, comp.intended_next_hop)
@@ -577,14 +568,14 @@ class NodeState:
 
     # --------------------------------------------------------------- timers
 
-    def on_timer(self, kind: int, key, now: float) -> list[Action]:
+    def on_timer(self, kind: int, key, now: float) -> list[tuple]:
         if kind == TIMER_PENDING:
             return self._fire_pending(key, now)
         if kind == TIMER_HELPER:
             return self._fire_helper(key, now)
         return []
 
-    def _fire_pending(self, pid: PayloadId, now: float) -> list[Action]:
+    def _fire_pending(self, pid: PayloadId, now: float) -> list[tuple]:
         entry = self.pending.get(pid)
         if entry is None or entry.deadline > now + 1e-12:
             return []
@@ -606,7 +597,7 @@ class NodeState:
             self.metrics.drops["queue_overflow"] += 1
         return []
 
-    def _fire_helper(self, pid: PayloadId, now: float) -> list[Action]:
+    def _fire_helper(self, pid: PayloadId, now: float) -> list[tuple]:
         entry = self.helper_timers.get(pid)
         if entry is None or entry.fire_at > now + 1e-12:
             return []  # cancelled, or pushed out by a fresher transmission
@@ -624,9 +615,9 @@ class NodeState:
         forwarded = NativePacket(pkt.id, pkt.src, pkt.dst, pkt.prev_hop,
                                  entry.onward, pkt.payload)
         # ACK first so other would-be helpers stand down sooner.
-        ack = self._make_ack(pid)
+        actions: list[tuple] = [(now + self.params.turnaround, E_ACK_TX,
+                                 self._make_ack(pid))]
         self.metrics.helper_forwards += 1
-        actions: list[Action] = [SendAck(ack)]
         partner = self._take_partner(forwarded, heads_only=True)
         if partner is not None:
             natives = (forwarded, partner.pkt)
@@ -637,7 +628,7 @@ class NodeState:
             # hold included, so they can still ride coded frames from here.
             eligible = now + self.params.pairing_hold
             self.q1.append(QueueEntry(forwarded, eligible_at=eligible))
-            actions.append(StartTimer(TIMER_WAKEUP, None, eligible))
+            actions.append((eligible, E_TIMER, (TIMER_WAKEUP, None)))
         if not parked:  # a parked native only moved from q2
             self._queued.add(pid)
         return actions
@@ -696,15 +687,9 @@ class NodeState:
 
         if not riders:
             self._queued.discard(head.id)
-            if proto == BEND:
-                native = self._stamp_for_tx(head)
-            else:
-                native = NativePacket(head.id, head.src, head.dst,
-                                      self.node_id, head.next_hop,
-                                      head.payload)
-            frame = Frame(native, tuple(self.recent_rx),
-                          data_frame_bits(len(native.payload)))
-            return TxIntent(frame, (native,), int(head_entry.retx))
+            native = self._stamp_for_tx(head)
+            return TxIntent(self._build_data_frame(native), (native,),
+                            int(head_entry.retx))
         retx_count = int(head_entry.retx) + sum(int(e.retx) for e in riders)
         natives = tuple(self._stamp_for_tx(p)
                         for p in [head] + [e.pkt for e in riders])
@@ -753,14 +738,14 @@ class NodeState:
         return (other_hop != hop and other_id in at_hop
                 and self.knowledge.knows(other_hop, pid))
 
-    def after_transmit(self, intent: TxIntent, end: float) -> list[Action]:
+    def after_transmit(self, intent: TxIntent, end: float) -> list[tuple]:
         """Arm pending-ACK records once the frame has left the air."""
         deadline = end + self._ack_wait[len(intent.natives)]
-        actions: list[Action] = []
+        actions: list[tuple] = []
         for native in intent.natives:
             self.pending[native.id] = PendingEntry(pkt=native, deadline=deadline)
             self.retries.setdefault(native.id, self.params.retry_limit)
-            actions.append(StartTimer(TIMER_PENDING, native.id, deadline))
+            actions.append((deadline, E_TIMER, (TIMER_PENDING, native.id)))
             if self.protocol != PLAIN:
                 self._pool_add(native.id, native.payload, end)
         return actions

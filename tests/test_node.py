@@ -1,5 +1,6 @@
 """Receiver/sender state machine: admission, ACK handling, timers, egress."""
 from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -15,20 +16,22 @@ from meshnc import (
     PayloadId,
     Protocol,
     SimParams,
+    TimerParams,
     build_forwarding_tables,
     build_topology,
     encode,
 )
-from meshnc.coding import bend_mixable, priority_index
+from meshnc.coding import bend_mixable, priority_index, sender_timeout
 from meshnc.core import data_frame_bits
 from meshnc.node import (
+    E_ACK_TX,
+    E_TIMER,
     HelperEntry,
     NodeState,
     QueueEntry,
-    SendAck,
-    StartTimer,
     TIMER_HELPER,
     TIMER_PENDING,
+    TIMER_WAKEUP,
 )
 
 PARAMS = SimParams()
@@ -79,13 +82,27 @@ def seed_pair_evidence(node, fwd, rev):
     node.knowledge.add(rev.prev_hop, rev.id)
 
 
+class SentAck(NamedTuple):
+    at: float
+    ack: Ack
+
+
+class ArmedTimer(NamedTuple):
+    at: float
+    kind: int
+    key: object
+
+
 def acks_of(actions):
-    return [a for a in actions if isinstance(a, SendAck)]
+    """The ACKs among a handler's `(at, event, body)` events."""
+    return [SentAck(at, body) for at, event, body in actions
+            if event == E_ACK_TX]
 
 
 def timers_of(actions, kind=None):
-    return [a for a in actions if isinstance(a, StartTimer)
-            and (kind is None or a.kind == kind)]
+    """The timers among a handler's events, of `kind` if given."""
+    return [ArmedTimer(at, *body) for at, event, body in actions
+            if event == E_TIMER and (kind is None or body[0] == kind)]
 
 
 class TestCodedReception:
@@ -476,6 +493,75 @@ class TestTimerHandling:
         deadline = node.pending[pkt.id].deadline
         node.on_timer(TIMER_PENDING, pkt.id, deadline - 0.001)  # early
         assert pkt.id in node.pending
+
+
+# Every knob that sets an event time, off its default, so that a wrong
+# formula cannot match by coincidence.
+TIMED = SimParams(timers=TimerParams(ack_slot=0.0023, base_timeout=0.0061),
+                  turnaround=37e-6, ack_stagger=410e-6, pairing_hold=0.021)
+
+
+class TestEventTimes:
+    """The node alone sets when each event it asks for is due."""
+
+    @pytest.mark.parametrize("node_id, index", [(2, 0), (0, 1)])
+    def test_intended_forwarder_acks_after_its_components_stagger(
+            self, ctx, node_id, index):
+        node = make_node(ctx, node_id, Protocol.FLEXONC, TIMED)
+        pair = example_pair()
+        other = pair[1 - index]
+        node._pool_add(other.id, other.payload, 0.0)
+        now = 1.25
+        actions = node.on_data_frame(
+            data_frame(encode(list(pair), sender=1)), now)
+        assert acks_of(actions) == [SentAck(
+            now + TIMED.turnaround + index * TIMED.ack_stagger,
+            Ack(node_id, pair[index].id))]
+
+    def test_relayed_native_acks_then_wakes_after_the_pairing_hold(self, ctx):
+        node = make_node(ctx, 2, Protocol.BEND, TIMED)
+        pkt = native(0, 5, src=0, dst=4, prev=1, nxt=2)
+        now = 1.25
+        assert node.on_data_frame(data_frame(pkt), now) == [
+            (now + TIMED.turnaround, E_ACK_TX, Ack(2, pkt.id)),
+            (now + TIMED.pairing_hold, E_TIMER, (TIMER_WAKEUP, None))]
+
+    def test_firing_helper_acks_first_then_wakes_after_the_pairing_hold(
+            self, ctx):
+        node = make_node(ctx, 6, Protocol.FLEXONC, TIMED)
+        fwd, rev = example_pair()
+        node._pool_add(rev.id, rev.payload, 0.0)
+        (timer,) = timers_of(node.on_data_frame(
+            data_frame(encode([fwd, rev], sender=1)), 1.0), TIMER_HELPER)
+        # Node 6 has rank 3 for sender 1 and intended 2: [2, 0, 5, 6].
+        assert timer.at == 1.0 + 3 * TIMED.timers.ack_slot
+        assert node.on_timer(TIMER_HELPER, fwd.id, timer.at) == [
+            (timer.at + TIMED.turnaround, E_ACK_TX, Ack(6, fwd.id)),
+            (timer.at + TIMED.pairing_hold, E_TIMER, (TIMER_WAKEUP, None))]
+
+    @pytest.mark.parametrize("proto", [Protocol.BEND, Protocol.FLEXONC])
+    def test_after_transmit_arms_each_pending_timer_after_the_ack_wait(
+            self, ctx, proto):
+        node = make_node(ctx, 1, proto, TIMED)
+        fwd, rev = example_pair()
+        node.enqueue_source(fwd, 0.0)
+        node.enqueue_source(rev, 0.0)
+        seed_pair_evidence(node, fwd, rev)
+        coded = node.select_transmission(0.0)
+        wait = node._ack_wait[2]
+        assert wait == sender_timeout(proto, 2, node.deg, TIMED.timers)
+        end = 0.0093
+        assert node.after_transmit(coded, end) == [
+            (end + wait, E_TIMER, (TIMER_PENDING, fwd.id)),
+            (end + wait, E_TIMER, (TIMER_PENDING, rev.id))]
+
+        lone = native(0, 8, src=0, dst=4, prev=0, nxt=2)
+        node.enqueue_source(lone, 0.02)
+        intent = node.select_transmission(0.02)
+        assert node._ack_wait[1] == TIMED.timers.base_timeout
+        end = 0.0291
+        assert node.after_transmit(intent, end) == [
+            (end + node._ack_wait[1], E_TIMER, (TIMER_PENDING, lone.id))]
 
 
 class TestAdmission:

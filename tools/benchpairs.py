@@ -11,7 +11,10 @@ the ``runs_sha256`` line the benchmark prints for each workload.
 
 It then prints, per workload and end-to-end metric, the median [q1, q3] of
 each side, how many pairs the change tree won (by the metric's direction in
-the base tree's ``BENCHMARK.json``) and, per workload, whether every pair's
+the base tree's ``BENCHMARK.json``), and whether the medians differ by more
+than the base's quartile spread, q3 - q1 (``beyond spread``) or not
+(``within spread``): a difference within it is not told apart from
+run-to-run noise. Last, per workload, it prints whether every pair's
 ``runs_sha256`` matched. Standard library only.
 """
 from __future__ import annotations
@@ -49,11 +52,26 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
     return result["metrics"], digests
 
 
-def spread(values: list[float]) -> str:
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """q1, median and q3 of `values`; a single value is all three."""
     med = statistics.median(values)
     if len(values) < 2:
-        return f"{med:.4g}"
+        return med, med, med
     q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, med, q3
+
+
+def beyond_spread(base: list[float], change: list[float]) -> bool:
+    """Whether the medians of `change` and `base` differ by more than the
+    base's quartile spread (q3 - q1)."""
+    q1, med, q3 = quartiles(base)
+    return abs(statistics.median(change) - med) > q3 - q1
+
+
+def spread(values: list[float]) -> str:
+    q1, med, q3 = quartiles(values)
+    if len(values) < 2:
+        return f"{med:.4g}"
     return f"{med:.4g} [{q1:.4g}, {q3:.4g}]"
 
 
@@ -88,9 +106,10 @@ def main(argv=None) -> int:
         sign = 1 if better[metric] == "lower" else -1
         wins = sum(sign * (c - b) < 0 for b, c in zip(base, change))
         delta = statistics.median(change) / statistics.median(base) - 1
+        side = "beyond" if beyond_spread(base, change) else "within"
         print(f"{workload:18s} {metric:16s} base {spread(base):28s} "
               f"change {spread(change):28s} {delta:+7.1%}  "
-              f"change wins {wins}/{pairs}")
+              f"change wins {wins}/{pairs}  {side} spread")
     for workload in runs["base"][0][1]:
         same = all(b[1][workload] == c[1][workload]
                    for b, c in zip(runs["base"], runs["change"]))
