@@ -6,14 +6,14 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .engine import run as run_one
 from .sweep import (
     GAINS_HEADER,
     RUNS_HEADER,
+    Cell,
     cell_stats,
     gain_table,
     read_runs_csv,
-    rows_for_run,
+    run_cell,
     run_sweep,
     write_csv,
 )
@@ -31,38 +31,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out-dir", default=".")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run the full protocol x BER x seed grid")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--out-dir", default=".")
     p_sweep.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p_sweep.add_argument("--quiet", action="store_true")
+    p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_gains = sub.add_parser("gains", help="recompute the gain table from runs.csv")
     p_gains.add_argument("runs_csv")
     p_gains.add_argument("--out-dir", default=".")
+    p_gains.set_defaults(handler=_cmd_gains)
 
     p_val = sub.add_parser("validate", help="parse and validate a config file")
     p_val.add_argument("config")
+    p_val.set_defaults(handler=_cmd_validate)
     return parser
 
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
-    scenario = cfg.scenario(cfg.protocols[0], cfg.bers[0])
     os.makedirs(args.out_dir, exist_ok=True)
-    metrics = run_one(scenario, seed)
-    rows = rows_for_run(scenario, seed, metrics)
+    rows = run_cell((cfg, Cell(cfg.protocols[0], cfg.bers[0], seed)))
     path = os.path.join(args.out_dir, "runs.csv")
     write_csv(rows, RUNS_HEADER, path)
     total = rows[-1]
     print(f"protocol={total['protocol']} ber={total['ber']} seed={seed}")
-    print(f"delivered_bytes={total['delivered_bytes']} "
-          f"throughput_bps={total['throughput_bps']} "
-          f"tx_total={total['tx_total']} tx_coded={total['tx_coded']} "
-          f"retx={total['retx']} dups={total['dups']} "
-          f"helper_fwds={total['helper_fwds']}")
+    print(" ".join(f"{k}={total[k]}" for k in RUNS_HEADER[5:]))
     print(f"wrote {path}")
     return 0
 
@@ -77,41 +75,34 @@ def _cmd_sweep(args) -> int:
     rows = run_sweep(cfg, jobs=max(1, args.jobs), progress=progress)
     os.makedirs(args.out_dir, exist_ok=True)
     runs_path = os.path.join(args.out_dir, "runs.csv")
-    gains_path = os.path.join(args.out_dir, "gains.csv")
     write_csv(rows, RUNS_HEADER, runs_path)
-    baselines = _baselines({r["protocol"] for r in rows})
-    gains = (gain_table(read_runs_csv(runs_path), baselines=baselines)
-             if baselines else [])
-    if gains:
-        write_csv(gains, GAINS_HEADER, gains_path)
+    gains_path = _write_gains(runs_path, args.out_dir)
     for stat in cell_stats(rows):
         print(f"{stat['protocol']:>8} ber={stat['ber']:>7} "
               f"mean={stat['mean_bps']:12.1f} bps "
               f"std={stat['std_bps']:10.1f} (n={stat['seeds']})")
-    print(f"wrote {runs_path}" + (f" and {gains_path}" if gains else ""))
+    print(f"wrote {runs_path}" + (f" and {gains_path}" if gains_path else ""))
     return 0
 
 
-def _baselines(protocols: set[str]) -> tuple[str, ...]:
-    """The baselines present among `protocols` that flexonc's gains can be
-    computed against; none without flexonc."""
-    if "flexonc" not in protocols:
-        return ()
-    return tuple(p for p in ("bend", "cope", "plain") if p in protocols)
+def _write_gains(runs_path: str, out_dir: str) -> str | None:
+    """Write gains.csv from the runs.csv at `runs_path`; its path, or None
+    when that file holds no flexonc rows or no baseline rows."""
+    try:
+        gains = gain_table(read_runs_csv(runs_path))
+    except KeyError as exc:  # a BER without one of the baseline cells
+        raise ValueError(f"{runs_path}: {exc.args[0]}") from None
+    if not gains:
+        return None
+    path = os.path.join(out_dir, "gains.csv")
+    write_csv(gains, GAINS_HEADER, path)
+    return path
 
 
 def _cmd_gains(args) -> int:
-    rows = read_runs_csv(args.runs_csv)
-    baselines = _baselines({r["protocol"] for r in rows})
-    if not baselines:
-        print("runs.csv lacks flexonc rows or any baseline rows", file=sys.stderr)
-        return 1
-    try:
-        gains = gain_table(rows, baselines=baselines)
-    except KeyError as exc:  # a BER without one of the baseline cells
-        raise ValueError(f"{args.runs_csv}: {exc.args[0]}") from None
-    path = os.path.join(args.out_dir, "gains.csv")
-    write_csv(gains, GAINS_HEADER, path)
+    path = _write_gains(args.runs_csv, args.out_dir)
+    if path is None:
+        raise ValueError(f"{args.runs_csv} lacks flexonc rows or any baseline rows")
     print(f"wrote {path}")
     return 0
 
@@ -129,14 +120,8 @@ def _cmd_validate(args) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "gains": _cmd_gains,
-        "validate": _cmd_validate,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,12 @@
 """Flat key=value scenario configuration files.
 
 Format: one `key = value` per line, `#` comments, repeated `flow = ...` and
-`node = ...` lines; `range` applies to `node` lines only. Unknown keys,
-malformed values, a value repeated in `protocols`, `bers` or `seeds` and
-unroutable flows are rejected with the offending line number; a missing
-topology or missing flow lines are rejected with no line number.
+`node = ...` lines; every other key may appear once, and `protocol`, `ber`
+and `seed` are other spellings of `protocols`, `bers` and `seeds`. `range`
+applies to `node` lines only. Unknown or repeated keys, malformed values, a
+value repeated in `protocols`, `bers` or `seeds` and unroutable flows are
+rejected with the offending line number; a missing topology or missing flow
+lines are rejected with no line number.
 
 Example::
 
@@ -20,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 from .channel import Topology
 from .core import Protocol
@@ -37,8 +38,6 @@ _FLOAT_PARAMS = {
 }
 _INT_PARAMS = {"payload_size", "retry_limit", "queue_cap", "ack_cache_cap",
                "max_cope_components"}
-_TOPOLOGY_CONFLICT = ("give either 'topology' or explicit 'node' and "
-                      "'range' lines, not both")
 
 
 class ConfigError(ValueError):
@@ -72,7 +71,7 @@ class ScenarioConfig:
         if self.flows:
             return self.flows
         if self.topology_kind is None:
-            raise ValueError("explicit topologies need explicit flow lines")
+            raise ConfigError(None, "explicit topologies need explicit 'flow' lines")
         return tuple(default_flows(self.topology_kind))
 
     def scenario(self, protocol: Protocol, ber: float) -> Scenario:
@@ -93,22 +92,63 @@ def _parse_protocol(token: str) -> Protocol:
         raise ValueError(f"unknown protocol {token.strip()!r}") from None
 
 
-def _sweep_axis(value: str, line_no: int, key: str, parse) -> tuple:
-    values = tuple(parse(v) for v in value.split(","))
-    if len(set(values)) < len(values):  # it would run the same cells twice
-        raise ConfigError(line_no, f"{key} repeats a value: {value}")
-    return values
+def _node(value: str) -> tuple[int, tuple[float, float]]:
+    nid, x, y = (v.strip() for v in value.split(","))
+    return int(nid), (float(x), float(y))
+
+
+def _flow(value: str) -> Flow:
+    src, dst, interval, duration = (v.strip() for v in value.split(","))
+    return Flow(int(src), int(dst), float(interval), float(duration))
+
+
+def _axis(parse):
+    return lambda value: tuple(parse(v) for v in value.split(","))
+
+
+# Checks are (test, message); a message may name the key as written and the
+# value, which parse_config fills in.
+_POSITIVE = ((math.isfinite, "{key} must be finite"),
+             (lambda v: v > 0, "{key} must be positive"))
+# A repeated value would run the same cells twice, and per-cell statistics
+# would count the copies as independent samples.
+_DISTINCT = ((lambda vs: len(set(vs)) == len(vs),
+              "{key} repeats a value: {value}"),)
+
+# Every key a config may use: the field it sets, how its value converts,
+# the checks the converted value must pass, and the fields it may not be
+# given with, since a stock topology's links are fixed. Both spellings of a
+# sweep axis set one field, and so count as one key; only `node` and `flow`
+# may be given more than once. A knob sets the SimParams or TimerParams
+# field of its name.
+_KEYS = {
+    **{k: (k, float, _POSITIVE, ()) for k in _FLOAT_PARAMS},
+    **{k: (k, int, ((lambda v: v >= 0, "{key} must be non-negative"),), ())
+       for k in _INT_PARAMS},
+    **{spelling: (axis, _axis(parse), _DISTINCT + checks, ())
+       for axis, parse, checks in (
+           ("protocols", _parse_protocol, ()),
+           ("bers", float, ((lambda bers: all(0.0 <= b < 1.0 for b in bers),
+                             "ber must be in [0,1): {value}"),)),
+           ("seeds", int, ()))
+       for spelling in (axis, axis[:-1])},
+    "name": ("name", str, (), ()),
+    "topology": ("topology_kind", str, (
+        (lambda kind: kind in TOPOLOGY_KINDS,
+         f"topology must be one of {TOPOLOGY_KINDS}, got {{value!r}}"),),
+        ("node", "range_m")),
+    "range": ("range_m", float, _POSITIVE, ("topology_kind",)),
+    "node": ("node", _node, ((lambda node: all(map(math.isfinite, node[1])),
+                              "node coordinates must be finite"),),
+             ("topology_kind",)),
+    # throughput needs a positive span
+    "flow": ("flow", _flow, ((lambda fl: fl.duration > 0,
+                              "flow duration must be positive"),), ()),
+}
 
 
 def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
-    cfg = ScenarioConfig(name=name)
-    flows: list[Flow] = []
-    flow_lines: list[int] = []
-    nodes: dict[int, tuple[float, float]] = {}
-    range_given = False
-    timer_overrides: dict[str, float] = {}
-    param_overrides: dict[str, object] = {}
-
+    given: dict[str, dict[int, object]] = {}  # field -> {line: value}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -117,82 +157,51 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
             raise ConfigError(line_no, f"expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
+        if key not in _KEYS:
+            raise ConfigError(line_no, f"unknown key {key!r}")
+        dest, convert, checks, conflicts = _KEYS[key]
         value = value.strip()
         try:
-            if (key == "topology" and (nodes or range_given)
-                    or key == "node" and cfg.topology_kind):
-                raise ConfigError(line_no, _TOPOLOGY_CONFLICT)
-            if key == "topology":
-                if value not in TOPOLOGY_KINDS:
-                    raise ConfigError(
-                        line_no,
-                        f"topology must be one of {TOPOLOGY_KINDS}, got {value!r}")
-                cfg.topology_kind = value
-            elif key == "node":
-                nid_s, x_s, y_s = (v.strip() for v in value.split(","))
-                nid = int(nid_s)
-                if nid in nodes:
-                    raise ConfigError(line_no, f"duplicate node id {nid}")
-                x, y = float(x_s), float(y_s)
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ConfigError(line_no, "node coordinates must be finite")
-                nodes[nid] = (x, y)
-            elif key == "flow":
-                src, dst, interval, duration = (v.strip() for v in value.split(","))
-                fl = Flow(int(src), int(dst), float(interval), float(duration))
-                if not fl.duration > 0:  # throughput needs a positive span
-                    raise ConfigError(line_no, "flow duration must be positive")
-                flows.append(fl)
-                flow_lines.append(line_no)
-            elif key in ("protocol", "protocols"):
-                cfg.protocols = _sweep_axis(value, line_no, key, _parse_protocol)
-            elif key in ("ber", "bers"):
-                cfg.bers = _sweep_axis(value, line_no, key, float)
-                if not all(0.0 <= b < 1.0 for b in cfg.bers):
-                    raise ConfigError(line_no, f"ber must be in [0,1): {value}")
-            elif key in ("seed", "seeds"):
-                cfg.seeds = _sweep_axis(value, line_no, key, int)
-            elif key in _FLOAT_PARAMS:
-                v = float(value)
-                if not math.isfinite(v):
-                    raise ConfigError(line_no, f"{key} must be finite")
-                if v <= 0:
-                    raise ConfigError(line_no, f"{key} must be positive")
-                if key in ("ack_slot", "base_timeout"):
-                    timer_overrides[key] = v
-                elif key == "range":
-                    if cfg.topology_kind:  # a stock topology's links are fixed
-                        raise ConfigError(line_no, _TOPOLOGY_CONFLICT)
-                    cfg.range_m = v
-                    range_given = True
-                else:
-                    param_overrides[key] = v
-            elif key in _INT_PARAMS:
-                iv = int(value)
-                if iv < 0:
-                    raise ConfigError(line_no, f"{key} must be non-negative")
-                param_overrides[key] = iv
-            elif key == "name":
-                cfg.name = value
-            else:
-                raise ConfigError(line_no, f"unknown key {key!r}")
-        except ConfigError:
-            raise
+            parsed = convert(value)
         except ValueError as exc:
             raise ConfigError(line_no, f"bad value for {key!r}: {exc}") from None
+        for test, message in checks:
+            if not test(parsed):
+                raise ConfigError(line_no, message.format(key=key, value=value))
+        # The value is sound by itself; now check it against earlier lines.
+        if dest in given and dest not in ("node", "flow"):
+            raise ConfigError(line_no, f"{key!r} was already given on line "
+                                       f"{min(given[dest])}")
+        if any(c in given for c in conflicts):
+            raise ConfigError(line_no, "give either 'topology' or explicit "
+                                       "'node' and 'range' lines, not both")
+        lines = given.setdefault(dest, {})
+        if dest == "node" and parsed[0] in dict(lines.values()):
+            raise ConfigError(line_no, f"duplicate node id {parsed[0]}")
+        lines[line_no] = parsed
 
-    cfg.explicit_nodes = nodes
-    if flows:
-        cfg.flows = tuple(flows)
-    if timer_overrides:
-        param_overrides["timers"] = replace(cfg.params.timers, **timer_overrides)
-    if param_overrides:
-        cfg.params = replace(cfg.params, **param_overrides)
-    if cfg.topology_kind is None and not nodes:
+    nodes = dict(given.pop("node", {}).values())
+    flows = given.pop("flow", {})
+    values = {dest: v for dest, lines in given.items() for v in lines.values()}
+    if "topology_kind" not in values and not nodes:
         raise ConfigError(None, "config needs a 'topology' or explicit 'node' lines")
-    if cfg.topology_kind is None and not cfg.flows:
-        raise ConfigError(None, "explicit topologies need explicit 'flow' lines")
-    validate_config(cfg, flow_lines)
+    # What is left in `values` once the knobs are out sets ScenarioConfig.
+    knobs = {k: values.pop(k) for k in _FLOAT_PARAMS | _INT_PARAMS if k in values}
+    timers = {k: knobs.pop(k) for k in ("ack_slot", "base_timeout") if k in knobs}
+    stock = SimParams()
+    cfg = ScenarioConfig(
+        **{"name": name, **values}, explicit_nodes=nodes,
+        flows=tuple(flows.values()),
+        params=replace(stock, timers=replace(stock.timers, **timers), **knobs))
+    # Reject what `check_flows` rejects, as a ConfigError at the flow's line.
+    resolved = cfg.resolved_flows()
+    topo = cfg.topology()
+    tables = build_forwarding_tables(topo)
+    for fl, line_no in zip(resolved, list(flows) or [None] * len(resolved)):
+        try:
+            check_flows(topo, tables, (fl,))
+        except ValueError as exc:
+            raise ConfigError(line_no, str(exc)) from None
     return cfg
 
 
@@ -201,16 +210,3 @@ def load_config(path: str) -> ScenarioConfig:
         text = fh.read()
     name = os.path.splitext(os.path.basename(path))[0] or "custom"
     return parse_config(text, name=name)
-
-
-def validate_config(cfg: ScenarioConfig, flow_lines: Sequence[int] = ()) -> None:
-    """Reject what `check_flows` rejects, as a ConfigError at the flow's
-    line; `flow_lines[i]` is where flow i was written, if it was."""
-    topo = cfg.topology()
-    tables = build_forwarding_tables(topo)
-    for i, fl in enumerate(cfg.resolved_flows()):
-        try:
-            check_flows(topo, tables, (fl,))
-        except ValueError as exc:
-            raise ConfigError(flow_lines[i] if flow_lines else None,
-                              str(exc)) from None

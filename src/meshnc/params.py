@@ -66,4 +66,4 @@ class Scenario:
 
     @property
     def duration(self) -> float:
-        return max(f.duration for f in self.flows)
+        return max((f.duration for f in self.flows), default=0.0)

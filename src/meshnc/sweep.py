@@ -43,10 +43,17 @@ def sweep_cells(cfg: ScenarioConfig) -> list[Cell]:
     ]
 
 
-def run_cell(cfg: ScenarioConfig, cell: Cell) -> list[dict]:
-    scenario = cfg.scenario(cell.protocol, cell.ber)
-    metrics = run(scenario, cell.seed)
-    return rows_for_run(scenario, cell.seed, metrics)
+def run_cell(job: tuple[ScenarioConfig, Cell]) -> list[dict]:
+    """The rows of one (config, cell) job; a fault names the cell."""
+    cfg, cell = job
+    try:
+        scenario = cfg.scenario(cell.protocol, cell.ber)
+        metrics = run(scenario, cell.seed)
+        return rows_for_run(scenario, cell.seed, metrics)
+    except Exception as exc:
+        raise RuntimeError(
+            f"run failed for protocol={cell.protocol.name.lower()} "
+            f"ber={cell.ber!r} seed={cell.seed}: {exc}") from exc
 
 
 def rows_for_run(scenario: Scenario, seed: int, metrics: Metrics) -> list[dict]:
@@ -77,11 +84,6 @@ def rows_for_run(scenario: Scenario, seed: int, metrics: Metrics) -> list[dict]:
     return rows
 
 
-def _worker(args) -> list[dict]:
-    cfg, cell = args
-    return run_cell(cfg, cell)
-
-
 def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
               progress=None) -> list[dict]:
     """Run every (protocol, ber, seed) cell, in a pool of min(`jobs`, cells)
@@ -92,20 +94,12 @@ def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
     if jobs > 1:
         from multiprocessing import Pool  # only a pooled sweep pays for it
     with Pool(processes=jobs) if jobs > 1 else nullcontext() as pool:
-        results = (pool.imap if pool else map)(_worker, [(cfg, c) for c in cells])
-        for i, cell in enumerate(cells):
-            try:
-                rows.extend(next(results))
-            except Exception as exc:
-                raise RuntimeError(_cell_error(cell, exc)) from exc
+        results = (pool.imap if pool else map)(run_cell, [(cfg, c) for c in cells])
+        for done, (cell, cell_rows) in enumerate(zip(cells, results), start=1):
+            rows.extend(cell_rows)
             if progress:
-                progress(i + 1, len(cells), cell)
+                progress(done, len(cells), cell)
     return rows
-
-
-def _cell_error(cell: Cell, exc: Exception) -> str:
-    return (f"run failed for protocol={cell.protocol.name.lower()} "
-            f"ber={cell.ber!r} seed={cell.seed}: {exc}")
 
 
 def rows_to_csv(rows: list[dict], header: list[str]) -> str:
@@ -141,32 +135,34 @@ def cell_stats(rows: list[dict]) -> list[dict]:
     return out
 
 
-def gain_table(rows: list[dict],
-               baselines: tuple[str, ...] = ("bend", "cope", "plain"),
+def gain_table(rows: list[dict], baselines: tuple[str, ...] | None = None,
                ) -> list[dict]:
-    """Percentage throughput gain of flexonc over each baseline per BER."""
+    """Percentage throughput gain of flexonc over each baseline per BER;
+    the baselines default to those of bend, cope and plain that `rows`
+    hold. Empty when `rows` hold no flexonc row or no baseline row."""
     means = {(s["scenario"], s["protocol"], s["ber"]): s["mean_bps"]
              for s in cell_stats(rows)}
-    scenarios = sorted({s for s, _, _ in means})
+    if baselines is None:
+        present = {p for _, p, _ in means}
+        baselines = tuple(p for p in ("bend", "cope", "plain") if p in present)
+    flexonc_cells = sorted(((s, b) for s, p, b in means if p == "flexonc"),
+                           key=lambda cell: (cell[0], float(cell[1])))
     out = []
-    for scenario in scenarios:
-        bers = [b for s, p, b in means if s == scenario and p == "flexonc"]
-        bers.sort(key=float)
-        for ber in bers:
-            t_flex = means[(scenario, "flexonc", ber)]
-            for base in baselines:
-                key = (scenario, base, ber)
-                if key not in means:
-                    raise KeyError(
-                        f"missing baseline cell {base!r} at ber={ber} "
-                        f"in scenario {scenario!r}")
-                t_base = means[key]
-                if t_base == 0.0:
-                    gain = UNDEFINED_GAIN
-                else:
-                    gain = f"{(t_flex - t_base) / t_base * 100.0:.2f}"
-                out.append({"scenario": scenario, "ber": ber, "base": base,
-                            "gain_pct": gain})
+    for scenario, ber in flexonc_cells:
+        t_flex = means[(scenario, "flexonc", ber)]
+        for base in baselines:
+            key = (scenario, base, ber)
+            if key not in means:
+                raise KeyError(
+                    f"missing baseline cell {base!r} at ber={ber} "
+                    f"in scenario {scenario!r}")
+            t_base = means[key]
+            if t_base == 0.0:
+                gain = UNDEFINED_GAIN
+            else:
+                gain = f"{(t_flex - t_base) / t_base * 100.0:.2f}"
+            out.append({"scenario": scenario, "ber": ber, "base": base,
+                        "gain_pct": gain})
     return out
 
 

@@ -302,6 +302,16 @@ class TestScheduler:
         assert sum(m.delivered_count.values()) == 0
         assert m.tx_data == 0
 
+    @pytest.mark.parametrize("protocol", list(Protocol),
+                             ids=lambda p: p.name.lower())
+    def test_no_flows_is_zero_metrics(self, protocol):
+        # A scenario without flows once faulted in `Scenario.duration`
+        # (max() of an empty sequence) before the first event.
+        sc = Scenario("x", build_topology("x_topo"), protocol, 0.0, ())
+        m = Simulation(sc, 1).run()
+        assert m.generated_count == {} and m.delivered_count == {}
+        assert m.tx_data == 0 and m.events == 0
+
     def test_event_overflow_aborts_with_diagnostic(self, monkeypatch):
         monkeypatch.setattr(engine_mod, "MAX_EVENTS", 50)
         sc = x_scenario(Protocol.PLAIN, pairs=30)

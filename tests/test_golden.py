@@ -19,6 +19,7 @@ import hashlib
 import pytest
 
 from meshnc import gain_table, parse_config, run, run_sweep
+from meshnc.cli import main
 from meshnc.sweep import GAINS_HEADER, RUNS_HEADER, rows_to_csv
 
 EIGHT_NODE = """
@@ -72,6 +73,19 @@ def test_sweep_output_matches_pinned_digest(label):
     rows = run_sweep(parse_config(text), jobs=1)
     assert sha256(rows_to_csv(rows, RUNS_HEADER)) == runs_digest
     assert sha256(rows_to_csv(gain_table(rows), GAINS_HEADER)) == gains_digest
+
+
+@pytest.mark.parametrize("label", sorted(GOLDEN))
+def test_cli_sweep_writes_the_pinned_files(label, tmp_path):
+    # `meshnc sweep` recomputes gains.csv from the runs.csv it has written,
+    # so this pins that read-back path as well as the files.
+    text, runs_digest, gains_digest = GOLDEN[label]
+    cfg = tmp_path / f"{label}.cfg"
+    cfg.write_text(text)
+    assert main(["sweep", str(cfg), "--out-dir", str(tmp_path), "--jobs", "1",
+                 "--quiet"]) == 0
+    for name, digest in (("runs.csv", runs_digest), ("gains.csv", gains_digest)):
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def metrics_text(text: str) -> str:

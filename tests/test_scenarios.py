@@ -242,6 +242,25 @@ class TestParseConfig:
         assert err.value.line_no == 2
         assert "repeats" in str(err.value)
 
+    @pytest.mark.parametrize("text, line, first", [
+        ("topology = x_topo\nseeds = 1\nseed = 2\n", 3, 2),
+        ("topology = x_topo\nbers = 0\nbers = 1e-4\n", 3, 2),
+        ("topology = grid5\n\ntopology = x_topo\n", 3, 1),
+        # The second range disconnects the flow; the repeat is the fault.
+        ("node = 0, 0, 0\nnode = 1, 200, 0\nflow = 0, 1, 0.1, 5\n"
+         "range = 250\nrange = 100\n", 5, 4),
+        ("topology = x_topo\nname = a\nname = b\n", 3, 2),
+        ("topology = x_topo\nack_slot = 0.004\nack_slot = 0.005\n", 3, 2),
+    ], ids=["seeds-then-seed", "bers-twice", "topology", "range", "name",
+            "knob"])
+    def test_repeated_key_names_its_line_and_the_first(self, text, line, first):
+        # Every key but `node` and `flow` is given once; a second line once
+        # silently overrode the first.
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line_no == line
+        assert f"already given on line {first}" in str(err.value)
+
     def test_missing_topology_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("seeds = 1\n")

@@ -106,6 +106,15 @@ class TestRunSweep:
         assert run_sweep(two, jobs=8) == run_sweep(two)
         assert started == [2]
 
+    def test_a_failing_cell_is_named(self, monkeypatch):
+        import meshnc.engine as engine_mod
+        monkeypatch.setattr(engine_mod, "MAX_EVENTS", 50)
+        cfg = parse_config("topology = x_topo\nprotocol = plain\nber = 0\n"
+                           "seed = 1\nflow = 0, 3, 0.07, 1\n")
+        with pytest.raises(RuntimeError, match=r"^run failed for "
+                           r"protocol=plain ber=0\.0 seed=1: "):
+            run_sweep(cfg)
+
     def test_single_cell_config(self):
         cfg = parse_config(
             "topology = x_topo\nprotocol = plain\nber = 0\nseed = 1\n"
@@ -184,6 +193,20 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert rows and rows[0]["seed"] == "3"
 
+    def test_run_prints_its_summary_exactly(self, tmp_path, capsys):
+        # The first protocol and BER written, with the fields of runs.csv's
+        # total row from delivered_bytes on, in header order.
+        text = (SMALL.replace("plain, cope, bend, flexonc", "flexonc, plain")
+                .replace("bers = 0, 1e-4", "bers = 1e-4, 0"))
+        assert main(["run", self.write_cfg(tmp_path, text), "--seed", "3",
+                     "--out-dir", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "protocol=flexonc ber=0.0001 seed=3",
+            "delivered_bytes=53000 throughput_bps=212000.000 tx_total=231 "
+            "tx_coded=33 retx=126 dups=3 helper_fwds=34",
+            f"wrote {tmp_path / 'runs.csv'}",
+        ]
+
     def test_run_creates_a_missing_out_dir(self, tmp_path):
         out = tmp_path / "fresh" / "results"
         assert main(["run", self.write_cfg(tmp_path), "--out-dir",
@@ -246,6 +269,26 @@ class TestCli:
         assert err.startswith("error: ")
         assert "missing baseline cell 'bend' at ber=0.0001" in err
         assert not (tmp_path / "gains.csv").exists()
+
+    @pytest.mark.parametrize("protocols", ["plain, cope", "flexonc"])
+    def test_gains_without_flexonc_or_a_baseline_fails_cleanly(
+            self, tmp_path, capsys, protocols):
+        # The sweep writes no gains.csv, and `meshnc gains` rejects its
+        # runs.csv like any other bad input.
+        cfg = self.write_cfg(tmp_path, SMALL.replace(
+            "plain, cope, bend, flexonc", protocols))
+        out, redo = tmp_path / "results", tmp_path / "redo"
+        assert main(["sweep", cfg, "--out-dir", str(out), "--jobs", "1",
+                     "--quiet"]) == 0
+        assert not (out / "gains.csv").exists()
+        capsys.readouterr()
+        os.makedirs(redo)
+        assert main(["gains", str(out / "runs.csv"),
+                     "--out-dir", str(redo)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "lacks flexonc rows or any baseline rows" in err
+        assert not (redo / "gains.csv").exists()
 
     def test_gains_without_a_column_fails_cleanly(self, tmp_path, capsys):
         path = tmp_path / "runs.csv"
