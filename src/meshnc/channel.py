@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import Frame, NodeId
 
@@ -12,6 +12,8 @@ class Topology:
     """Static node positions with a fixed reception disk.
 
     Adjacency is precomputed once; positions never change during a run.
+    `routes` keeps the forwarding tables built for this topology, keyed by
+    destination set (see `routing.shared_tables`).
     """
 
     def __init__(self, positions: dict[NodeId, tuple[float, float]],
@@ -20,6 +22,7 @@ class Topology:
             raise ValueError("range must be positive")
         self.positions = dict(positions)
         self.range_m = range_m
+        self.routes: dict = {}
         self._adj: dict[NodeId, frozenset[NodeId]] = {}
         # Ascending ids: reception draws are consumed in this order.
         self._sorted_adj: dict[NodeId, tuple[NodeId, ...]] = {}
@@ -43,13 +46,18 @@ class Topology:
         return dict(self._adj)
 
 
-@dataclass(frozen=True)
-class ChannelParams:
+class _ChannelFields(NamedTuple):
     ber: float
 
-    def __post_init__(self):
+
+class ChannelParams(_ChannelFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.ber < 1.0:
             raise ValueError(f"ber must be in [0,1), got {self.ber}")
+        return self
 
 
 def neighbors(topo: Topology, n: NodeId) -> frozenset[NodeId]:

@@ -9,8 +9,7 @@ runtime.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Optional, Sequence
+from typing import Callable, Container, Iterable, NamedTuple, Optional, Sequence
 
 from .core import CodedComponent, CodedPacket, NativePacket, NodeId, PayloadId, Protocol, decodable
 from .routing import ForwardingTables, RoutingError, neighbor_next_hop
@@ -18,14 +17,19 @@ from .routing import ForwardingTables, RoutingError, neighbor_next_hop
 NeighborFn = Callable[[NodeId], frozenset[NodeId]]
 
 
-@dataclass(frozen=True)
-class TimerParams:
+class _TimerFields(NamedTuple):
     ack_slot: float = 0.002
     base_timeout: float = 0.005
 
-    def __post_init__(self):
+
+class TimerParams(_TimerFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.ack_slot <= 0 or self.base_timeout <= 0:
             raise ValueError("timer parameters must be positive")
+        return self
 
 
 class NeighborKnowledge:

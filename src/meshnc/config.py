@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, replace
 
 from .channel import Topology
+from .coding import TimerParams
 from .core import Protocol
 from .params import Flow, Scenario, SimParams
-from .routing import build_forwarding_tables, check_flows
+from .routing import build_forwarding_tables, check_flows, shared_tables
 from .scenarios import TOPOLOGY_KINDS, build_topology, default_flows
 
 DEFAULT_BERS = (2e-6, 2e-5, 5e-5, 8e-5, 1e-4, 2e-4)
@@ -50,22 +50,36 @@ class ConfigError(ValueError):
         self.line_no = line_no
 
 
-@dataclass
 class ScenarioConfig:
-    name: str = "custom"
-    topology_kind: str | None = None
-    explicit_nodes: dict[int, tuple[float, float]] = field(default_factory=dict)
-    range_m: float = 250.0
-    protocols: tuple[Protocol, ...] = tuple(Protocol)
-    bers: tuple[float, ...] = DEFAULT_BERS
-    seeds: tuple[int, ...] = DEFAULT_SEEDS
-    flows: tuple[Flow, ...] = ()
-    params: SimParams = field(default_factory=SimParams)
+    """A sweep: its axes, flows and knobs, and the one `Topology` that the
+    flow check and every cell share, built on first use."""
+
+    def __init__(self, name: str = "custom", topology_kind: str | None = None,
+                 explicit_nodes: dict[int, tuple[float, float]] | None = None,
+                 range_m: float = 250.0,
+                 protocols: tuple[Protocol, ...] = tuple(Protocol),
+                 bers: tuple[float, ...] = DEFAULT_BERS,
+                 seeds: tuple[int, ...] = DEFAULT_SEEDS,
+                 flows: tuple[Flow, ...] = (),
+                 params: SimParams = SimParams()):
+        self.name = name
+        self.topology_kind = topology_kind
+        self.explicit_nodes = {} if explicit_nodes is None else explicit_nodes
+        self.range_m = range_m
+        self.protocols = protocols
+        self.bers = bers
+        self.seeds = seeds
+        self.flows = flows
+        self.params = params
+        self._topology: Topology | None = None
 
     def topology(self) -> Topology:
-        if self.explicit_nodes:
-            return Topology(self.explicit_nodes, self.range_m)
-        return build_topology(self.topology_kind or "eight_node")
+        if self._topology is None:
+            self._topology = (
+                Topology(self.explicit_nodes, self.range_m)
+                if self.explicit_nodes
+                else build_topology(self.topology_kind or "eight_node"))
+        return self._topology
 
     def resolved_flows(self) -> tuple[Flow, ...]:
         if self.flows:
@@ -92,13 +106,23 @@ def _parse_protocol(token: str) -> Protocol:
         raise ValueError(f"unknown protocol {token.strip()!r}") from None
 
 
+def _split(value: str, names: str) -> list[str]:
+    """The comma-separated fields of `value`, one for each of `names`."""
+    fields = [v.strip() for v in value.split(",")]
+    expected = names.count(",") + 1
+    if len(fields) != expected:
+        raise ValueError(f"expected {expected} fields ({names}), "
+                         f"got {len(fields)}")
+    return fields
+
+
 def _node(value: str) -> tuple[int, tuple[float, float]]:
-    nid, x, y = (v.strip() for v in value.split(","))
+    nid, x, y = _split(value, "id, x, y")
     return int(nid), (float(x), float(y))
 
 
 def _flow(value: str) -> Flow:
-    src, dst, interval, duration = (v.strip() for v in value.split(","))
+    src, dst, interval, duration = _split(value, "src, dst, interval, duration")
     return Flow(int(src), int(dst), float(interval), float(duration))
 
 
@@ -188,15 +212,16 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
     # What is left in `values` once the knobs are out sets ScenarioConfig.
     knobs = {k: values.pop(k) for k in _FLOAT_PARAMS | _INT_PARAMS if k in values}
     timers = {k: knobs.pop(k) for k in ("ack_slot", "base_timeout") if k in knobs}
-    stock = SimParams()
     cfg = ScenarioConfig(
         **{"name": name, **values}, explicit_nodes=nodes,
         flows=tuple(flows.values()),
-        params=replace(stock, timers=replace(stock.timers, **timers), **knobs))
+        params=SimParams(timers=TimerParams(**timers), **knobs))
     # Reject what `check_flows` rejects, as a ConfigError at the flow's line.
+    # The tables built here are the ones every cell of the sweep reads.
     resolved = cfg.resolved_flows()
     topo = cfg.topology()
-    tables = build_forwarding_tables(topo)
+    tables = shared_tables(topo, (fl.dst for fl in resolved),
+                           build_forwarding_tables)
     for fl, line_no in zip(resolved, list(flows) or [None] * len(resolved)):
         try:
             check_flows(topo, tables, (fl,))

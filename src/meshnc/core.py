@@ -78,6 +78,30 @@ class Ack(NamedTuple):
 Body = Union[NativePacket, CodedPacket, Ack]
 
 
+class Record:
+    """Base of the records the run reads on its hot path, which attribute
+    reads keep cheaper than tuple fields. A subclass lists its fields in
+    `__slots__` (or, lacking its own, keeps them in its `__dict__`) and
+    sets them in its own `__init__`. Two records of one class are equal
+    when their fields are, and a record shows as `Name(field=value, ...)`."""
+    __slots__ = ()
+    __hash__ = None  # mutable, so unhashable unless a subclass says otherwise
+
+    def _fields(self) -> dict:
+        """Field name -> value, in declaration order."""
+        slots = type(self).__slots__
+        return {n: getattr(self, n) for n in slots} if slots else vars(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{n}={v!r}" for n, v in self._fields().items())
+        return f"{type(self).__name__}({shown})"
+
+
 class Frame(NamedTuple):
     """On-air unit: a data or ack body plus a piggybacked reception report."""
     body: Body

@@ -31,7 +31,8 @@ from .core import Ack, Frame, NativePacket, PayloadId, ack_frame_bits
 from .node import (E_ACK_TX, E_TIMER, Metrics, NodeState, TxIntent,
                    most_components)
 from .params import Scenario
-from .routing import build_forwarding_tables, next_hop, sendable_hops
+from .routing import (build_forwarding_tables, next_hop, sendable_hops,
+                      shared_tables)
 
 E_TRAFFIC = 0
 E_GRANT = 1
@@ -89,7 +90,11 @@ class Simulation:
         self.topo = scenario.topology
         self.chan = ChannelParams(scenario.ber)
         self.rng = random.Random(seed)
-        self.tables = build_forwarding_tables(self.topo)
+        # Shared with every other cell on this topology and flow set (and
+        # with parse_config's flow check), so read, never written.
+        self.tables = shared_tables(
+            self.topo, (fl.dst for fl in scenario.flows),
+            build_forwarding_tables)
         adj = self.topo.adjacency()
         self.nbrs = adj.__getitem__
         self._adj = adj

@@ -20,7 +20,6 @@ acknowledges first. Plain mode reduces to bare store-and-forward with ACKs.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict, deque
-from dataclasses import dataclass, field
 from typing import Callable, Container, NamedTuple, Optional
 
 from .coding import (
@@ -43,6 +42,7 @@ from .core import (
     NodeId,
     PayloadId,
     Protocol,
+    Record,
     ack_frame_bits,
     data_frame_bits,
     decode,
@@ -64,52 +64,64 @@ E_ACK_TX = 3
 E_TIMER = 5
 
 
-@dataclass(slots=True)
-class QueueEntry:
-    pkt: NativePacket
-    eligible_at: float
-    retx: bool = False
+class QueueEntry(Record):
+    __slots__ = ("pkt", "eligible_at", "retx")
+
+    def __init__(self, pkt: NativePacket, eligible_at: float,
+                 retx: bool = False):
+        self.pkt = pkt
+        self.eligible_at = eligible_at
+        self.retx = retx
 
 
-@dataclass(slots=True)
-class MixEntry:
-    coded: CodedPacket
-    natives: tuple[NativePacket, ...]
+class MixEntry(Record):
+    __slots__ = ("coded", "natives")
+
+    def __init__(self, coded: CodedPacket, natives: tuple[NativePacket, ...]):
+        self.coded = coded
+        self.natives = natives
 
 
-@dataclass(slots=True)
-class PendingEntry:
-    pkt: NativePacket
-    deadline: float
+class PendingEntry(Record):
+    __slots__ = ("pkt", "deadline")
+
+    def __init__(self, pkt: NativePacket, deadline: float):
+        self.pkt = pkt
+        self.deadline = deadline
 
 
-@dataclass(slots=True)
-class HelperEntry:
+class HelperEntry(Record):
     """`pkt` as heard: its next hop is the forwarder this node may stand in
     for, sending it on to `onward`. A parked native is also its q2 entry."""
-    pkt: NativePacket
-    frame_sender: NodeId
-    onward: NodeId
-    fire_at: float
-    index: int
+    __slots__ = ("pkt", "frame_sender", "onward", "fire_at", "index")
+
+    def __init__(self, pkt: NativePacket, frame_sender: NodeId,
+                 onward: NodeId, fire_at: float, index: int):
+        self.pkt = pkt
+        self.frame_sender = frame_sender
+        self.onward = onward
+        self.fire_at = fire_at
+        self.index = index
 
 
-@dataclass
-class Metrics:
-    """Counters of one run; delivered/generated maps are keyed by flow index."""
-    generated_count: Counter = field(default_factory=Counter)
-    generated_bytes: Counter = field(default_factory=Counter)
-    delivered_count: Counter = field(default_factory=Counter)
-    delivered_bytes: Counter = field(default_factory=Counter)
-    tx_data: int = 0
-    tx_coded: int = 0
-    retx: int = 0
-    dups_suppressed: int = 0
-    duplicate_deliveries: int = 0
-    helper_forwards: int = 0
-    corrupted: int = 0
-    drops: Counter = field(default_factory=Counter)
-    events: int = 0
+class Metrics(Record):
+    """Counters of one run; delivered/generated maps are keyed by flow index.
+    Its fields live in its `__dict__`, so `vars()` lists them in this order."""
+
+    def __init__(self):
+        self.generated_count = Counter()
+        self.generated_bytes = Counter()
+        self.delivered_count = Counter()
+        self.delivered_bytes = Counter()
+        self.tx_data = 0
+        self.tx_coded = 0
+        self.retx = 0
+        self.dups_suppressed = 0
+        self.duplicate_deliveries = 0
+        self.helper_forwards = 0
+        self.corrupted = 0
+        self.drops = Counter()
+        self.events = 0
 
 
 class TxIntent(NamedTuple):

@@ -3,29 +3,37 @@
 Routing is modeled as the converged state of a distance-vector protocol over
 a static topology: minimum-hop routes with ties broken by lowest next-hop id.
 Each node additionally holds a copy of every neighbor's table so it can
-answer "next hop from neighbor m toward d" locally. `check_flows` is the one
-test that a set of flows can be routed at all, and `sendable_hops` names,
-per node, every hop it can ever address a packet to.
+answer "next hop from neighbor m toward d" locally. Packets only ever travel
+toward flow destinations, so the tables hold routes toward a given set of
+destinations only, one BFS from each; `shared_tables` builds them once per
+topology and destination set, for the flow check and every cell of a sweep.
+`check_flows` is the one test that a set of flows can be routed at all, and
+`sendable_hops` names, per node, every hop it can ever address a packet to.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .channel import Topology
-from .core import NodeId, Protocol
+from .core import NodeId, Protocol, Record
 
 
 class RoutingError(KeyError):
     """Missing forwarding entry or illegal table lookup."""
 
 
-@dataclass
-class ForwardingTables:
-    own: dict[NodeId, dict[NodeId, NodeId]]
-    neighbor_copies: dict[NodeId, dict[NodeId, dict[NodeId, NodeId]]]
-    # hops[n][dst]: route length in hops; absent when unreachable.
-    hops: dict[NodeId, dict[NodeId, int]] = field(default_factory=dict)
+class ForwardingTables(Record):
+    """own[n][dst]: n's next hop toward dst; neighbor_copies[n][m]: n's copy
+    of m's `own` table; hops[n][dst]: route length in hops. An entry is
+    absent when dst is unreachable from n or not among the destinations
+    the tables were built toward."""
+    __slots__ = ("own", "neighbor_copies", "hops")
+
+    def __init__(self, own: dict, neighbor_copies: dict,
+                 hops: dict | None = None):
+        self.own = own
+        self.neighbor_copies = neighbor_copies
+        self.hops = {} if hops is None else hops
 
     def hop_count(self, n: NodeId, dst: NodeId) -> int:
         if n == dst:
@@ -36,13 +44,16 @@ class ForwardingTables:
         return count
 
 
-def build_forwarding_tables(topo: Topology) -> ForwardingTables:
-    """BFS from every destination; unreachable pairs simply have no entry."""
+def build_forwarding_tables(topo: Topology,
+                            dsts: Iterable[NodeId]) -> ForwardingTables:
+    """Routes toward each of `dsts`, by one BFS from each; unreachable pairs
+    simply have no entry, and neither does a destination not in `topo`.
+    Pass `topo.nodes()` for the full tables."""
     adj = topo.adjacency()
     ids = topo.nodes()
     own: dict[NodeId, dict[NodeId, NodeId]] = {n: {} for n in ids}
     hops: dict[NodeId, dict[NodeId, int]] = {n: {} for n in ids}
-    for dst in ids:
+    for dst in sorted({d for d in dsts if d in topo}):
         seen = {dst}
         layer = [dst]
         d = 0
@@ -62,6 +73,20 @@ def build_forwarding_tables(topo: Topology) -> ForwardingTables:
 
     copies = {n: {m: own[m] for m in sorted(adj[n])} for n in ids}
     return ForwardingTables(own=own, neighbor_copies=copies, hops=hops)
+
+
+def shared_tables(topo: Topology, dsts: Iterable[NodeId],
+                  build: Callable[[Topology, frozenset[NodeId]],
+                                  ForwardingTables]) -> ForwardingTables:
+    """The tables toward `dsts` on `topo`: made by `build` (the caller's
+    `build_forwarding_tables`) on first use, then kept on the topology, so
+    they live as long as it does and every later caller gets the same
+    object. Callers only read them."""
+    key = frozenset(dsts)
+    tables = topo.routes.get(key)
+    if tables is None:
+        tables = topo.routes[key] = build(topo, key)
+    return tables
 
 
 def check_flows(topo: Topology, tables: ForwardingTables,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from contextlib import nullcontext
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import ScenarioConfig
 from .core import Protocol
@@ -27,8 +27,7 @@ GAINS_HEADER = ["scenario", "ber", "base", "gain_pct"]
 UNDEFINED_GAIN = "—"
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     protocol: Protocol
     ber: float
     seed: int

@@ -134,7 +134,7 @@ def test_criterion_3_eligibility_ground_truth():
     """For the coded example frame from node 1, node 6 is the only eligible
     non-intended receiver; node 0 fails criterion 1 and node 5 criterion 2."""
     topo = build_topology("eight_node")
-    tables = build_forwarding_tables(topo)
+    tables = build_forwarding_tables(topo, topo.nodes())
     nbrs = topo.adjacency().__getitem__
     fwd = NativePacket(PayloadId(0, 7), src=0, dst=4, prev_hop=0, next_hop=2,
                        payload=b"\x11" * 16)
@@ -272,7 +272,7 @@ def test_criterion_8_routing_consistency():
     total = 0
     for kind in ("x_topo", "eight_node", "grid5"):
         topo = build_topology(kind)
-        tables = build_forwarding_tables(topo)
+        tables = build_forwarding_tables(topo, topo.nodes())
         for n in topo.nodes():
             for m in neighbors(topo, n):
                 for dst in topo.nodes():

@@ -39,7 +39,7 @@ def native(flow, seq, nxt, prev, dst=99, src=98):
 @pytest.fixture(scope="module")
 def eight():
     topo = build_topology("eight_node")
-    tables = build_forwarding_tables(topo)
+    tables = build_forwarding_tables(topo, topo.nodes())
     return topo, tables, topo.adjacency().__getitem__
 
 

@@ -26,8 +26,8 @@ DIAMOND = Topology({0: (0.0, 0.0), 1: (200.0, 0.0), 2: (400.0, 0.0),
 
 class TestSendableHops:
     def hops(self, protocol, flows=(Flow(0, 2, 0.1, 1.0),)):
-        return sendable_hops(DIAMOND, build_forwarding_tables(DIAMOND),
-                             flows, protocol)
+        tables = build_forwarding_tables(DIAMOND, DIAMOND.nodes())
+        return sendable_hops(DIAMOND, tables, flows, protocol)
 
     @pytest.mark.parametrize("protocol", [Protocol.PLAIN, Protocol.COPE])
     def test_without_helpers_a_node_sends_to_its_route_successors(
@@ -57,7 +57,7 @@ class TestSendableHops:
     ])
     def test_rejects_what_check_flows_rejects(self, flow, message):
         topo = Topology({0: (0.0, 0.0), 1: (200.0, 0.0), 2: (1000.0, 0.0)})
-        tables = build_forwarding_tables(topo)
+        tables = build_forwarding_tables(topo, topo.nodes())
         with pytest.raises(ValueError, match=message):
             sendable_hops(topo, tables, (Flow(0, 1, 0.1, 1.0), flow),
                           Protocol.FLEXONC)

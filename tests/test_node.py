@@ -1,5 +1,4 @@
 """Receiver/sender state machine: admission, ACK handling, timers, egress."""
-from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
@@ -41,7 +40,7 @@ SLOT = PARAMS.timers.ack_slot
 @pytest.fixture(scope="module")
 def ctx():
     topo = build_topology("eight_node")
-    tables = build_forwarding_tables(topo)
+    tables = build_forwarding_tables(topo, topo.nodes())
     return topo, tables, topo.adjacency().__getitem__
 
 
@@ -286,7 +285,7 @@ class TestAckHandling:
             st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 3)),
             min_size=cap, max_size=2 * cap + 20))
         node = make_node(ctx, 2, Protocol.PLAIN,
-                         replace(PARAMS, ack_cache_cap=cap))
+                         SimParams(ack_cache_cap=cap))
         for sender, flow, seq in stream:
             node._ack_cache_add(sender, PayloadId(flow, seq))
             assert len(node.ack_cache) <= cap
@@ -301,7 +300,7 @@ class TestRankTable:
     @pytest.mark.parametrize("kind", ["x_topo", "eight_node", "grid5"])
     def test_matches_priority_index(self, kind):
         topo = build_topology(kind)
-        tables = build_forwarding_tables(topo)
+        tables = build_forwarding_tables(topo, topo.nodes())
         nbrs = topo.adjacency().__getitem__
         nodes = topo.nodes()
         for receiver in nodes:
@@ -376,9 +375,11 @@ class TestTakePartner:
 
         def build():
             node = make_node(ctx, node_id, Protocol.FLEXONC)
-            node.q1.extend(replace(e) for e in q1)
+            node.q1.extend(QueueEntry(e.pkt, e.eligible_at, e.retx)
+                           for e in q1)
             for h in q2:
-                node.q2[h.pkt.id] = replace(h)
+                node.q2[h.pkt.id] = HelperEntry(h.pkt, h.frame_sender,
+                                                h.onward, h.fire_at, h.index)
                 if h.pkt.id in timed:
                     node.helper_timers[h.pkt.id] = node.q2[h.pkt.id]
             for h, held in known.items():

@@ -36,13 +36,13 @@ def bfs_distances(topo, dst):
 @pytest.fixture(scope="module")
 def eight():
     topo = build_topology("eight_node")
-    return topo, build_forwarding_tables(topo)
+    return topo, build_forwarding_tables(topo, topo.nodes())
 
 
 @pytest.fixture(scope="module", params=["x_topo", "eight_node", "grid5"])
 def any_topo(request):
     topo = build_topology(request.param)
-    return topo, build_forwarding_tables(topo)
+    return topo, build_forwarding_tables(topo, topo.nodes())
 
 
 class TestBuildTables:
@@ -55,7 +55,7 @@ class TestBuildTables:
 
     def test_grid_corner_route(self):
         topo = build_topology("grid5")
-        t = build_forwarding_tables(topo)
+        t = build_forwarding_tables(topo, topo.nodes())
         src, dst = grid_id(0, 0), grid_id(4, 0)
         assert next_hop(t, src, dst) == grid_id(1, 0)
         hops, n = 0, src
@@ -91,7 +91,7 @@ class TestBuildTables:
         # Random points with a 300 m range: some meshes split, some tie.
         topo = Topology({i: (float(x), float(y))
                          for i, (x, y) in enumerate(points)}, 300.0)
-        t = build_forwarding_tables(topo)
+        t = build_forwarding_tables(topo, topo.nodes())
         adj = topo.adjacency()
         for dst in topo.nodes():
             dist = bfs_distances(topo, dst)
@@ -121,7 +121,7 @@ class TestNextHop:
 
     def test_missing_entry_faults(self):
         topo = build_topology("x_topo")
-        t = build_forwarding_tables(topo)
+        t = build_forwarding_tables(topo, topo.nodes())
         with pytest.raises(RoutingError):
             next_hop(t, 0, 17)
 
@@ -159,7 +159,7 @@ class TestCheckFlows:
     ])
     def test_rejects_unroutable_flow(self, flow, message):
         topo = Topology({0: (0.0, 0.0), 1: (200.0, 0.0), 2: (1000.0, 0.0)})
-        tables = build_forwarding_tables(topo)
+        tables = build_forwarding_tables(topo, topo.nodes())
         check_flows(topo, tables, (Flow(0, 1, 0.1, 1.0),))
         with pytest.raises(ValueError, match=message):
             check_flows(topo, tables, (Flow(0, 1, 0.1, 1.0), flow))

@@ -1,4 +1,5 @@
 """Topology builders, default traffic patterns and config parsing."""
+import pickle
 import re
 from pathlib import Path
 
@@ -7,6 +8,8 @@ import pytest
 from meshnc import (
     ConfigError,
     Protocol,
+    SimParams,
+    TimerParams,
     build_topology,
     default_flows,
     grid_id,
@@ -195,6 +198,23 @@ class TestParseConfig:
             parse_config(text)
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("line, fields, got", [
+        ("node = 1, 200", "id, x, y", 2),
+        ("node = 1, 200, 0, 7", "id, x, y", 4),
+        ("flow = 0, 1, 0.1", "src, dst, interval, duration", 3),
+        ("flow = 0, 1, 0.1, 5, 9", "src, dst, interval, duration", 5),
+    ], ids=["node-too-few", "node-too-many", "flow-too-few",
+            "flow-too-many"])
+    def test_wrong_field_count_names_the_fields_and_line(self, line, fields,
+                                                         got):
+        text = f"node = 0, 0, 0\n{line}\nflow = 0, 1, 0.1, 5\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line_no == 2
+        assert str(err.value) == (
+            f"line 2: bad value for {line.split()[0]!r}: expected "
+            f"{fields.count(',') + 1} fields ({fields}), got {got}")
+
     def test_unroutable_flow_names_flow_line(self):
         text = "node = 0, 0, 0\nnode = 1, 1000, 0\n\nflow = 0, 1, 0.1, 10\n"
         with pytest.raises(ConfigError) as err:
@@ -299,3 +319,28 @@ class TestReadmeConfigKeys:
                 parse_config(f"topology = x_topo\n{key} = 1\n")
             except ConfigError as exc:
                 assert "unknown key" not in str(exc), key
+
+
+class TestSimParamsRecord:
+    """SimParams is a hand-built record: it must stay immutable, hashable and
+    picklable (a pooled sweep pickles it into each worker)."""
+    PARAMS = SimParams(timers=TimerParams(ack_slot=0.003, base_timeout=0.007),
+                       cw=16, pool_ttl=2.5, knowledge_cap=128)
+
+    def test_pickle_round_trip(self):
+        back = pickle.loads(pickle.dumps(self.PARAMS))
+        assert back == self.PARAMS
+        assert back.timers == TimerParams(ack_slot=0.003, base_timeout=0.007)
+        assert back != SimParams()
+
+    def test_equal_params_hash_equal(self):
+        twin = SimParams(timers=TimerParams(ack_slot=0.003, base_timeout=0.007),
+                         cw=16, pool_ttl=2.5, knowledge_cap=128)
+        assert twin is not self.PARAMS
+        assert twin == self.PARAMS and hash(twin) == hash(self.PARAMS)
+        assert len({twin, self.PARAMS, SimParams()}) == 2
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.PARAMS.cw = 1
+        assert self.PARAMS.cw == 16

@@ -40,3 +40,26 @@ class TestBeyondSpread:
         assert benchpairs.beyond_spread([5.0], [5.0]) is False
         assert benchpairs.beyond_spread([5.0], [5.1]) is True
         assert benchpairs.spread([5.0]) == "5"
+
+
+scaleprobe = load("scaleprobe")
+
+
+class TestScaleProbeConfig:
+    @pytest.mark.parametrize("k, rows", [(2, [0, 0, 1, 1]), (5, [0, 1, 3, 4]),
+                                         (20, [0, 6, 13, 19])])
+    def test_flow_rows_span_the_grid(self, k, rows):
+        assert scaleprobe.flow_rows(k) == rows
+
+    def test_grid_config_is_a_pitched_grid_with_alternating_row_flows(self):
+        from meshnc import Protocol, parse_config
+        cfg = parse_config(scaleprobe.grid_config(5, "flexonc", seeds=(3, 4)))
+        assert cfg.protocols == (Protocol.FLEXONC,)
+        assert cfg.bers == (1e-4,) and cfg.seeds == (3, 4)
+        assert cfg.range_m == 250.0
+        assert cfg.explicit_nodes == {
+            r * 5 + c: (c * 150.0, r * 150.0)
+            for r in range(5) for c in range(5)}
+        assert [(f.src, f.dst, f.interval, f.duration) for f in cfg.flows] == [
+            (0, 4, 0.1, 10.0), (9, 5, 0.1, 10.0),
+            (15, 19, 0.1, 10.0), (24, 20, 0.1, 10.0)]

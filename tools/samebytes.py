@@ -27,7 +27,6 @@ with Python 3.11, and two trees run side by side.
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import os
 import random
@@ -93,11 +92,13 @@ def cell_lines() -> list[str]:
                         m = sim.run()
                         fields = [f"{kind} {protocol.name.lower()} {ber!r} "
                                   f"{seed}{tag}"]
-                        for f in dataclasses.fields(m):
-                            value = getattr(m, f.name)
+                        # Every field in declaration order, as `Metrics`
+                        # keeps them in its instance dict (a dataclass did
+                        # too, so this reads older trees alike).
+                        for name, value in vars(m).items():
                             if isinstance(value, dict):
                                 value = sorted(value.items())
-                            fields.append(f"{f.name}={value}")
+                            fields.append(f"{name}={value}")
                         lines.append("\t".join(fields))
     return lines
 
