@@ -3,13 +3,17 @@
 Everything here is an immutable value type plus pure functions, so instances
 can be broadcast to many receivers without defensive copying.
 
-The value types are `NamedTuple`s, so construction, field access, hashing
-and equality run in C on the hot path. Each must hash as the plain tuple of
-its fields in declaration order (`hash(PayloadId(f, s)) == hash((f, s))`):
-set and dict iteration order over them follows their hashes and reaches the
-output. Being tuples, values of two types with equal fields compare equal;
-the code never mixes types in one container, and `isinstance` still tells
-the bodies apart.
+The value types are `NamedTuple`s, so field reads, hashing and equality
+run in C. A class call does not: it goes through the `__new__` that
+namedtuple writes in Python. The hot path therefore builds values with
+`new_value(Type, fields)`, which is `tuple.__new__`, one C call, given every
+field in declaration order; a `NativePacket` is built by `native_packet`,
+which fills in the defaulted `second_next_hop`. Tests and cold code call the
+classes. Each type must hash as the plain tuple of its fields in declaration
+order (`hash(PayloadId(f, s)) == hash((f, s))`): set and dict iteration
+order over them follows their hashes and reaches the output. Being tuples,
+values of two types with equal fields compare equal; the code never mixes
+types in one container, and `isinstance` still tells the bodies apart.
 """
 from __future__ import annotations
 
@@ -50,6 +54,18 @@ class NativePacket(NamedTuple):
     next_hop: NodeId
     payload: bytes
     second_next_hop: Optional[NodeId] = None
+
+
+# Unlike a class call, it takes a short field tuple without complaint.
+new_value = tuple.__new__
+
+
+def native_packet(id: PayloadId, src: NodeId, dst: NodeId, prev_hop: NodeId,
+                  next_hop: NodeId, payload: bytes,
+                  second_next_hop: Optional[NodeId] = None) -> NativePacket:
+    """`NativePacket(...)` without the class call."""
+    return new_value(NativePacket, (id, src, dst, prev_hop, next_hop, payload,
+                                    second_next_hop))
 
 
 class CodedComponent(NamedTuple):
@@ -150,9 +166,10 @@ def encode(natives: Sequence[NativePacket], sender: NodeId) -> CodedPacket:
     for p in natives[1:]:
         payload = xor_payloads(payload, p.payload)
     components = tuple(
-        CodedComponent(p.id, p.src, p.dst, p.next_hop) for p in natives
+        new_value(CodedComponent, (p.id, p.src, p.dst, p.next_hop))
+        for p in natives
     )
-    return CodedPacket(components, payload, sender)
+    return new_value(CodedPacket, (components, payload, sender))
 
 
 def decodable(
@@ -184,5 +201,5 @@ def decode(
         if other is None:
             return None
         payload = xor_payloads(payload, other)
-    return NativePacket(target.id, target.src, target.dst, coded.sender,
-                        target.intended_next_hop, payload)
+    return native_packet(target.id, target.src, target.dst, coded.sender,
+                         target.intended_next_hop, payload)

@@ -27,7 +27,8 @@ from collections import deque
 from typing import Optional
 
 from .channel import ChannelParams, sample_reception
-from .core import Ack, Frame, NativePacket, PayloadId, ack_frame_bits
+from .core import (Ack, Frame, PayloadId, ack_frame_bits, native_packet,
+                   new_value)
 from .node import (E_ACK_TX, E_TIMER, Metrics, NodeState, TxIntent,
                    most_components)
 from .params import Scenario
@@ -209,11 +210,10 @@ class Simulation:
 
     def _on_traffic(self, flow_index: int, k: int) -> None:
         fl = self.sc.flows[flow_index]
-        pid = PayloadId(flow_index, k)
+        pid = new_value(PayloadId, (flow_index, k))
         payload = make_payload(pid, self.params.payload_size)
         nh = next_hop(self.tables, fl.src, fl.dst)
-        pkt = NativePacket(id=pid, src=fl.src, dst=fl.dst, prev_hop=fl.src,
-                           next_hop=nh, payload=payload)
+        pkt = native_packet(pid, fl.src, fl.dst, fl.src, nh, payload)
         self.metrics.generated_count[flow_index] += 1
         self.metrics.generated_bytes[flow_index] += len(payload)
         node = self.nodes[fl.src]

@@ -20,7 +20,7 @@ acknowledges first. Plain mode reduces to bare store-and-forward with ACKs.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict, deque
-from typing import Callable, Container, NamedTuple, Optional
+from typing import Callable, Container, Optional
 
 from .coding import (
     NeighborFn,
@@ -47,6 +47,8 @@ from .core import (
     data_frame_bits,
     decode,
     encode,
+    native_packet,
+    new_value,
 )
 from .params import SimParams
 from .routing import ForwardingTables, RoutingError, neighbor_next_hop, next_hop
@@ -124,11 +126,15 @@ class Metrics(Record):
         self.events = 0
 
 
-class TxIntent(NamedTuple):
+class TxIntent(Record):
     """One granted transmission: the frame plus sender-side bookkeeping."""
-    frame: Frame
-    natives: tuple[NativePacket, ...]
-    retx_count: int
+    __slots__ = ("frame", "natives", "retx_count")
+
+    def __init__(self, frame: Frame, natives: tuple[NativePacket, ...],
+                 retx_count: int):
+        self.frame = frame
+        self.natives = natives
+        self.retx_count = retx_count
 
 
 def most_components(params: SimParams, n_hops: int) -> int:
@@ -228,12 +234,12 @@ class NodeState:
                 del senders[0]
 
     def _make_ack(self, pid: PayloadId) -> Ack:
-        ack = Ack(self.node_id, pid)
+        ack = new_value(Ack, (self.node_id, pid))
         self._ack_cache_add(self.node_id, pid)
         return ack
 
     def build_ack_frame(self, ack: Ack) -> Frame:
-        return Frame(ack, tuple(self.recent_rx), ack_frame_bits())
+        return new_value(Frame, (ack, tuple(self.recent_rx), ack_frame_bits()))
 
     def _in_custody(self, pid: PayloadId) -> bool:
         return (pid in self._queued or pid in self.pending
@@ -382,8 +388,8 @@ class NodeState:
             if self.protocol != PLAIN:
                 eligible += self.params.pairing_hold
             self.q1.append(QueueEntry(
-                NativePacket(pkt.id, pkt.src, pkt.dst, pkt.prev_hop,
-                             onward_hop, pkt.payload),
+                native_packet(pkt.id, pkt.src, pkt.dst, pkt.prev_hop,
+                              onward_hop, pkt.payload),
                 eligible_at=eligible))
             self._queued.add(pkt.id)
         actions.append((now + self.params.turnaround + ack_delay, E_ACK_TX,
@@ -624,8 +630,8 @@ class NodeState:
             self.metrics.drops["helper_queue_full"] += 1
             return []
         pkt = entry.pkt
-        forwarded = NativePacket(pkt.id, pkt.src, pkt.dst, pkt.prev_hop,
-                                 entry.onward, pkt.payload)
+        forwarded = native_packet(pkt.id, pkt.src, pkt.dst, pkt.prev_hop,
+                                  entry.onward, pkt.payload)
         # ACK first so other would-be helpers stand down sooner.
         actions: list[tuple] = [(now + self.params.turnaround, E_ACK_TX,
                                  self._make_ack(pid))]
@@ -658,12 +664,12 @@ class NodeState:
         if self.protocol == BEND:
             second = (pkt.dst if pkt.next_hop == pkt.dst
                       else next_hop(self.tables, pkt.next_hop, pkt.dst))
-        return NativePacket(pkt.id, pkt.src, pkt.dst, self.node_id,
-                            pkt.next_hop, pkt.payload, second)
+        return native_packet(pkt.id, pkt.src, pkt.dst, self.node_id,
+                             pkt.next_hop, pkt.payload, second)
 
     def _build_data_frame(self, body) -> Frame:
-        return Frame(body, tuple(self.recent_rx),
-                     data_frame_bits(len(body.payload)))
+        return new_value(Frame, (body, tuple(self.recent_rx),
+                                 data_frame_bits(len(body.payload))))
 
     def select_transmission(self, now: float) -> Optional[TxIntent]:
         q1 = self.q1
@@ -735,8 +741,8 @@ class NodeState:
             if not fits(hop, pid, at_hop, h.onward, qid):
                 continue
             p = h.pkt
-            cand = NativePacket(qid, p.src, p.dst, p.prev_hop, h.onward,
-                                p.payload, p.second_next_hop)
+            cand = native_packet(qid, p.src, p.dst, p.prev_hop, h.onward,
+                                 p.payload, p.second_next_hop)
             if bend_mixable(pkt, cand, nbrs):
                 del self.q2[qid]
                 self.helper_timers.pop(qid, None)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-from contextlib import nullcontext
 from typing import NamedTuple
 
 from .config import ScenarioConfig
@@ -86,18 +85,31 @@ def rows_for_run(scenario: Scenario, seed: int, metrics: Metrics) -> list[dict]:
 def run_sweep(cfg: ScenarioConfig, jobs: int = 1,
               progress=None) -> list[dict]:
     """Run every (protocol, ber, seed) cell, in a pool of min(`jobs`, cells)
-    processes when that is above 1; rows come back in sweep order."""
+    processes when that is above 1; rows come back in sweep order. A pooled
+    sweep whose worker dies, say on a job it cannot unpickle, raises
+    `BrokenProcessPool`."""
     cells = sweep_cells(cfg)
     jobs = min(jobs, len(cells))
-    rows: list[dict] = []
+    todo = [(cfg, c) for c in cells]
+    pool = None
     if jobs > 1:
-        from multiprocessing import Pool  # only a pooled sweep pays for it
-    with Pool(processes=jobs) if jobs > 1 else nullcontext() as pool:
-        results = (pool.imap if pool else map)(run_cell, [(cfg, c) for c in cells])
+        # Only a pooled sweep pays for the imports. Spawned workers start
+        # from a fresh import, so no lock or thread state is forked.
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        pool = ProcessPoolExecutor(max_workers=jobs,
+                                   mp_context=get_context("spawn"))
+    rows: list[dict] = []
+    try:
+        results = pool.map(run_cell, todo) if pool else map(run_cell, todo)
         for done, (cell, cell_rows) in enumerate(zip(cells, results), start=1):
             rows.extend(cell_rows)
             if progress:
                 progress(done, len(cells), cell)
+    finally:
+        if pool:
+            # After a failed cell, the cells still queued are dropped, not run.
+            pool.shutdown(cancel_futures=True)
     return rows
 
 

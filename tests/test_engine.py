@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meshnc.core as core_mod
 import meshnc.engine as engine_mod
+import meshnc.node as node_mod
 from meshnc import (
     Flow,
     Metrics,
@@ -290,6 +292,33 @@ class TestInvariants:
             assert not set(node.pending) & set(node.helper_timers)
             for pid, left in node.retries.items():
                 assert 0 <= left <= sc.params.retry_limit
+
+
+class TestValueConstruction:
+    # The hot path builds values with `new_value`, `tuple.__new__`, which
+    # unlike a class call takes a short field tuple without complaint.
+
+    @pytest.mark.parametrize("protocol", list(Protocol),
+                             ids=lambda p: p.name.lower())
+    def test_every_value_built_has_all_its_fields(self, protocol,
+                                                  monkeypatch):
+        built = set()
+
+        def checked_new(cls, fields):
+            assert len(fields) == len(cls._fields), (cls.__name__, fields)
+            built.add(cls.__name__)
+            return tuple.__new__(cls, fields)
+
+        for module in (core_mod, node_mod, engine_mod):
+            monkeypatch.setattr(module, "new_value", checked_new)
+        m = run(x_scenario(protocol, ber=1e-4, pairs=40), seed=9)
+        kinds = {"PayloadId", "NativePacket", "Frame", "Ack"}
+        if protocol != Protocol.PLAIN:
+            assert m.tx_coded > 0
+            kinds |= {"CodedPacket", "CodedComponent"}
+        if protocol in (Protocol.BEND, Protocol.FLEXONC):
+            assert m.helper_forwards > 0
+        assert built == kinds
 
 
 class TestScheduler:

@@ -1,8 +1,10 @@
 """Sweep orchestration, CSV schemas, gain-table algebra and the CLI."""
 import csv
 import os
+import signal
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -78,26 +80,31 @@ class TestRunSweep:
                              env=dict(os.environ, PYTHONPATH=src))
         assert out.stdout.strip() == "[]"
 
-    def test_pool_never_has_more_workers_than_cells(self, monkeypatch):
-        import multiprocessing
+    @pytest.fixture
+    def in_process_pool(self, monkeypatch):
+        """Stands in for the process pool; returns the sizes it was built
+        with and the keyword arguments of each shutdown."""
+        import concurrent.futures
 
-        started = []
+        started, shutdowns = [], []
 
         class InProcessPool:
             """Records its size and maps in this process: no worker starts."""
-            def __init__(self, processes):
-                started.append(processes)
+            def __init__(self, max_workers, mp_context):
+                started.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def imap(self, fn, items):
+            def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+            def shutdown(self, **kwargs):
+                shutdowns.append(kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
+        return started, shutdowns
+
+    def test_pool_never_has_more_workers_than_cells(self, in_process_pool):
+        started, _ = in_process_pool
         base = ("topology = x_topo\nprotocol = plain\nber = 0\n"
                 "flow = 0, 3, 0.07, 1\n")
         one = run_sweep(parse_config(base + "seed = 1\n"), jobs=8)
@@ -105,6 +112,51 @@ class TestRunSweep:
         two = parse_config(base + "seeds = 1, 2\n")
         assert run_sweep(two, jobs=8) == run_sweep(two)
         assert started == [2]
+
+    def test_a_failing_pooled_sweep_drops_its_queued_cells(
+            self, in_process_pool, monkeypatch):
+        import meshnc.engine as engine_mod
+        _, shutdowns = in_process_pool
+        monkeypatch.setattr(engine_mod, "MAX_EVENTS", 50)
+        cfg = parse_config("topology = x_topo\nprotocol = plain\nber = 0\n"
+                           "seeds = 1, 2, 3\nflow = 0, 3, 0.07, 1\n")
+        with pytest.raises(RuntimeError, match="seed=1"):
+            run_sweep(cfg, jobs=2)
+        assert shutdowns == [{"cancel_futures": True}]
+
+    def test_a_job_no_worker_can_load_fails_the_sweep(self):
+        # The job pickles, but unpickling it raises in the worker, which
+        # dies. The sweep must fail rather than wait for the lost result.
+        code = textwrap.dedent(r"""
+            from concurrent.futures.process import BrokenProcessPool
+            from meshnc import parse_config, run_sweep
+            from meshnc.config import ScenarioConfig
+
+            class Unloadable(ScenarioConfig):
+                def __reduce__(self):
+                    return int, ("raises ValueError on load",)
+
+            cfg = parse_config("topology = x_topo\nprotocol = plain\nber = 0\n"
+                               "seeds = 1, 2\nflow = 0, 3, 0.07, 1\n")
+            cfg.__class__ = Unloadable
+            try:
+                run_sweep(cfg, jobs=2)
+            except BrokenProcessPool:
+                print("broken pool")
+        """)
+        src = os.path.dirname(os.path.dirname(meshnc.__file__))
+        # Its own session, so a hung sweep's workers go down with it.
+        child = subprocess.Popen(
+            [sys.executable, "-c", code], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        try:
+            out, err = child.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(child.pid, signal.SIGKILL)
+            child.communicate()
+            pytest.fail("a pooled sweep with an unloadable job hung")
+        assert (child.returncode, out) == (0, "broken pool\n"), err
 
     def test_a_failing_cell_is_named(self, monkeypatch):
         import meshnc.engine as engine_mod
