@@ -3,17 +3,19 @@
 Everything here is an immutable value type plus pure functions, so instances
 can be broadcast to many receivers without defensive copying.
 
-The value types are `NamedTuple`s, so field reads, hashing and equality
-run in C. A class call does not: it goes through the `__new__` that
-namedtuple writes in Python. The hot path therefore builds values with
-`new_value(Type, fields)`, which is `tuple.__new__`, one C call, given every
-field in declaration order; a `NativePacket` is built by `native_packet`,
-which fills in the defaulted `second_next_hop`. Tests and cold code call the
-classes. Each type must hash as the plain tuple of its fields in declaration
-order (`hash(PayloadId(f, s)) == hash((f, s))`): set and dict iteration
-order over them follows their hashes and reaches the output. Being tuples,
-values of two types with equal fields compare equal; the code never mixes
-types in one container, and `isinstance` still tells the bodies apart.
+Every record of a run is a value: these types, the node's entries, the
+forwarding tables and `SimParams` are `NamedTuple`s, so field reads, hashing
+and equality run in C. A class call does not: it goes through the `__new__`
+that namedtuple writes in Python. The hot path therefore builds values, and
+replaces one that changes, with `new_value(Type, fields)`, which is
+`tuple.__new__`, one C call, given every field in declaration order;
+`native_packet` fills in a `NativePacket`'s defaulted `second_next_hop`.
+Tests and cold code call the classes. Each type here must hash as the plain
+tuple of its fields in order (`hash(PayloadId(f, s)) == hash((f, s))`): set
+and dict iteration order over them follows their hashes and reaches the
+output. Being tuples, values of two types with equal fields compare equal;
+the code never mixes types in one container, and `isinstance` still tells
+the bodies apart.
 """
 from __future__ import annotations
 
@@ -92,30 +94,6 @@ class Ack(NamedTuple):
 
 
 Body = Union[NativePacket, CodedPacket, Ack]
-
-
-class Record:
-    """Base of the records the run reads on its hot path, which attribute
-    reads keep cheaper than tuple fields. A subclass lists its fields in
-    `__slots__` (or, lacking its own, keeps them in its `__dict__`) and
-    sets them in its own `__init__`. Two records of one class are equal
-    when their fields are, and a record shows as `Name(field=value, ...)`."""
-    __slots__ = ()
-    __hash__ = None  # mutable, so unhashable unless a subclass says otherwise
-
-    def _fields(self) -> dict:
-        """Field name -> value, in declaration order."""
-        slots = type(self).__slots__
-        return {n: getattr(self, n) for n in slots} if slots else vars(self)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{n}={v!r}" for n, v in self._fields().items())
-        return f"{type(self).__name__}({shown})"
 
 
 class Frame(NamedTuple):

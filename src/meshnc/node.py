@@ -20,7 +20,7 @@ acknowledges first. Plain mode reduces to bare store-and-forward with ACKs.
 from __future__ import annotations
 
 from collections import Counter, OrderedDict, deque
-from typing import Callable, Container, Optional
+from typing import Callable, Container, NamedTuple, Optional
 
 from .coding import (
     NeighborFn,
@@ -42,7 +42,6 @@ from .core import (
     NodeId,
     PayloadId,
     Protocol,
-    Record,
     ack_frame_bits,
     data_frame_bits,
     decode,
@@ -66,47 +65,33 @@ E_ACK_TX = 3
 E_TIMER = 5
 
 
-class QueueEntry(Record):
-    __slots__ = ("pkt", "eligible_at", "retx")
-
-    def __init__(self, pkt: NativePacket, eligible_at: float,
-                 retx: bool = False):
-        self.pkt = pkt
-        self.eligible_at = eligible_at
-        self.retx = retx
+class QueueEntry(NamedTuple):
+    pkt: NativePacket
+    eligible_at: float
+    retx: bool = False
 
 
-class MixEntry(Record):
-    __slots__ = ("coded", "natives")
-
-    def __init__(self, coded: CodedPacket, natives: tuple[NativePacket, ...]):
-        self.coded = coded
-        self.natives = natives
+class MixEntry(NamedTuple):
+    coded: CodedPacket
+    natives: tuple[NativePacket, ...]
 
 
-class PendingEntry(Record):
-    __slots__ = ("pkt", "deadline")
-
-    def __init__(self, pkt: NativePacket, deadline: float):
-        self.pkt = pkt
-        self.deadline = deadline
+class PendingEntry(NamedTuple):
+    pkt: NativePacket
+    deadline: float
 
 
-class HelperEntry(Record):
+class HelperEntry(NamedTuple):
     """`pkt` as heard: its next hop is the forwarder this node may stand in
     for, sending it on to `onward`. A parked native is also its q2 entry."""
-    __slots__ = ("pkt", "frame_sender", "onward", "fire_at", "index")
-
-    def __init__(self, pkt: NativePacket, frame_sender: NodeId,
-                 onward: NodeId, fire_at: float, index: int):
-        self.pkt = pkt
-        self.frame_sender = frame_sender
-        self.onward = onward
-        self.fire_at = fire_at
-        self.index = index
+    pkt: NativePacket
+    frame_sender: NodeId
+    onward: NodeId
+    fire_at: float
+    index: int
 
 
-class Metrics(Record):
+class Metrics:
     """Counters of one run; delivered/generated maps are keyed by flow index.
     Its fields live in its `__dict__`, so `vars()` lists them in this order."""
 
@@ -125,16 +110,15 @@ class Metrics(Record):
         self.drops = Counter()
         self.events = 0
 
+    def __eq__(self, other):
+        return type(other) is Metrics and vars(self) == vars(other)
 
-class TxIntent(Record):
+
+class TxIntent(NamedTuple):
     """One granted transmission: the frame plus sender-side bookkeeping."""
-    __slots__ = ("frame", "natives", "retx_count")
-
-    def __init__(self, frame: Frame, natives: tuple[NativePacket, ...],
-                 retx_count: int):
-        self.frame = frame
-        self.natives = natives
-        self.retx_count = retx_count
+    frame: Frame
+    natives: tuple[NativePacket, ...]
+    retx_count: int
 
 
 def most_components(params: SimParams, n_hops: int) -> int:
@@ -317,7 +301,7 @@ class NodeState:
         if len(self.q1) >= self.params.queue_cap:
             self.metrics.drops["queue_overflow"] += 1
             return False
-        self.q1.append(QueueEntry(pkt, eligible_at=now))
+        self.q1.append(new_value(QueueEntry, (pkt, now, False)))
         self._queued.add(pkt.id)
         return True
 
@@ -366,7 +350,10 @@ class NodeState:
             return
         fire = now + helper_hold_time(entry.index, self.params.timers)
         if fire > entry.fire_at:
-            entry.fire_at = fire
+            later = self.helper_timers[pid] = new_value(HelperEntry, (
+                entry.pkt, entry.frame_sender, entry.onward, fire, entry.index))
+            if self.q2.get(pid) is entry:  # parked: one entry in both maps
+                self.q2[pid] = later
             actions.append((fire, E_TIMER, (TIMER_HELPER, pid)))
 
     def _accept(self, pkt: NativePacket, now: float, ack_delay: float,
@@ -387,10 +374,10 @@ class NodeState:
             onward_hop = next_hop(self.tables, self.node_id, pkt.dst)
             if self.protocol != PLAIN:
                 eligible += self.params.pairing_hold
-            self.q1.append(QueueEntry(
+            self.q1.append(new_value(QueueEntry, (
                 native_packet(pkt.id, pkt.src, pkt.dst, pkt.prev_hop,
                               onward_hop, pkt.payload),
-                eligible_at=eligible))
+                eligible, False)))
             self._queued.add(pkt.id)
         actions.append((now + self.params.turnaround + ack_delay, E_ACK_TX,
                         self._make_ack(pkt.id)))
@@ -423,8 +410,8 @@ class NodeState:
         forward it to `onward` unless a closer node ACKs first."""
         index = self._rank_table(sender, pkt.next_hop)[self.node_id]
         fire = now + helper_hold_time(index, self.params.timers)
-        entry = self.helper_timers[pkt.id] = HelperEntry(
-            pkt, sender, onward, fire, index)
+        entry = self.helper_timers[pkt.id] = new_value(
+            HelperEntry, (pkt, sender, onward, fire, index))
         actions.append((fire, E_TIMER, (TIMER_HELPER, pkt.id)))
         return entry
 
@@ -579,9 +566,9 @@ class NodeState:
                     if progress(sender, n):
                         del self.mixing_q[i]
                         self._queued.discard(pid)
-                        for other in m.natives:
-                            if other.id != pid:
-                                self.q1.appendleft(QueueEntry(other, 0.0))
+                        self.q1.extendleft(
+                            new_value(QueueEntry, (other, 0.0, False))
+                            for other in m.natives if other.id != pid)
                     return
 
     # --------------------------------------------------------------- timers
@@ -607,7 +594,7 @@ class NodeState:
             return []
         self.retries[pid] = left - 1
         # Unacked payloads always go back out as natives, at the queue head.
-        self.q1.appendleft(QueueEntry(entry.pkt, eligible_at=now, retx=True))
+        self.q1.appendleft(new_value(QueueEntry, (entry.pkt, now, True)))
         self._queued.add(pid)
         if len(self.q1) > self.params.queue_cap:
             tail = self.q1.pop()
@@ -640,12 +627,12 @@ class NodeState:
         if partner is not None:
             natives = (forwarded, partner.pkt)
             coded = encode([self._stamp_for_tx(n) for n in natives], self.node_id)
-            self.mixing_q.append(MixEntry(coded, natives))
+            self.mixing_q.append(new_value(MixEntry, (coded, natives)))
         else:
             # Taken-over packets queue like any forwarded packet, pairing
             # hold included, so they can still ride coded frames from here.
             eligible = now + self.params.pairing_hold
-            self.q1.append(QueueEntry(forwarded, eligible_at=eligible))
+            self.q1.append(new_value(QueueEntry, (forwarded, eligible, False)))
             actions.append((eligible, E_TIMER, (TIMER_WAKEUP, None)))
         if not parked:  # a parked native only moved from q2
             self._queued.add(pid)
@@ -678,7 +665,8 @@ class NodeState:
             m = self.mixing_q.popleft()
             self._queued.difference_update(n.id for n in m.natives)
             self._serve_mix_next = False
-            return TxIntent(self._build_data_frame(m.coded), m.natives, 0)
+            return new_value(TxIntent, (self._build_data_frame(m.coded),
+                                         m.natives, 0))
         if not q1_ok:
             return None
         self._serve_mix_next = True
@@ -706,14 +694,14 @@ class NodeState:
         if not riders:
             self._queued.discard(head.id)
             native = self._stamp_for_tx(head)
-            return TxIntent(self._build_data_frame(native), (native,),
-                            int(head_entry.retx))
+            return new_value(TxIntent, (self._build_data_frame(native),
+                                        (native,), int(head_entry.retx)))
         retx_count = int(head_entry.retx) + sum(int(e.retx) for e in riders)
         natives = tuple(self._stamp_for_tx(p)
                         for p in [head] + [e.pkt for e in riders])
         self._queued.difference_update(n.id for n in natives)
-        return TxIntent(self._build_data_frame(encode(natives, self.node_id)),
-                        natives, retx_count)
+        frame = self._build_data_frame(encode(natives, self.node_id))
+        return new_value(TxIntent, (frame, natives, retx_count))
 
     def _take_partner(self, pkt: NativePacket,
                       heads_only: bool) -> Optional[QueueEntry]:
@@ -746,7 +734,7 @@ class NodeState:
             if bend_mixable(pkt, cand, nbrs):
                 del self.q2[qid]
                 self.helper_timers.pop(qid, None)
-                return QueueEntry(cand, 0.0)
+                return new_value(QueueEntry, (cand, 0.0, False))
         return None
 
     def _fits(self, hop: NodeId, pid: PayloadId, at_hop: Container[PayloadId],
@@ -761,7 +749,7 @@ class NodeState:
         deadline = end + self._ack_wait[len(intent.natives)]
         actions: list[tuple] = []
         for native in intent.natives:
-            self.pending[native.id] = PendingEntry(pkt=native, deadline=deadline)
+            self.pending[native.id] = new_value(PendingEntry, (native, deadline))
             self.retries.setdefault(native.id, self.params.retry_limit)
             actions.append((deadline, E_TIMER, (TIMER_PENDING, native.id)))
             if self.protocol != PLAIN:

@@ -6,10 +6,10 @@ from typing import NamedTuple
 
 from .channel import Topology
 from .coding import TimerParams
-from .core import Protocol, Record
+from .core import Protocol
 
 
-class SimParams(Record):
+class SimParams(NamedTuple):
     """Every tunable knob of a run. Defaults follow a 1 Mbps 802.11-era link.
 
     ack_stagger separates the intended forwarders' ACKs of one coded frame;
@@ -18,39 +18,27 @@ class SimParams(Record):
     at relay queues so opposite-direction packets can meet and be coded even
     at light load; sources, helpers and retransmissions are exempt.
 
-    Immutable and hashable; the run reads its fields on the hot path, as
-    slots rather than tuple fields.
+    A value like every record of the run: immutable, hashable as the tuple
+    of its fields and picklable, so a pooled sweep can ship it to workers.
     """
-    __slots__ = ("timers", "data_rate", "payload_size", "slot_time", "cw",
-                 "turnaround", "ack_stagger", "retry_limit", "queue_cap",
-                 "ack_cache_cap", "pool_ttl", "pairing_hold", "drain_grace",
-                 "max_cope_components", "knowledge_cap")
-
-    def __init__(self, timers: TimerParams = TimerParams(),
-                 data_rate: float = 1_000_000.0, payload_size: int = 1000,
-                 slot_time: float = 20e-6, cw: int = 32,
-                 turnaround: float = 10e-6, ack_stagger: float = 300e-6,
-                 retry_limit: int = 4, queue_cap: int = 64,
-                 ack_cache_cap: int = 64,
-                 # Must exceed the worst queueing delay a payload can see
-                 # between being overheard and being needed for decoding, or
-                 # saturated runs turn every coded frame undecodable.
-                 pool_ttl: float = 10.0,
-                 pairing_hold: float = 0.015, drain_grace: float = 1.0,
-                 max_cope_components: int = 4, knowledge_cap: int = 256):
-        given = locals()  # the parameters, by name
-        for name in self.__slots__:
-            object.__setattr__(self, name, given[name])
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._fields().values()))
-
-    def __reduce__(self):
-        # Unpickled through __init__, which __setattr__ does not block.
-        return SimParams, tuple(self._fields().values())
+    timers: TimerParams = TimerParams()
+    data_rate: float = 1_000_000.0
+    payload_size: int = 1000
+    slot_time: float = 20e-6
+    cw: int = 32
+    turnaround: float = 10e-6
+    ack_stagger: float = 300e-6
+    retry_limit: int = 4
+    queue_cap: int = 64
+    ack_cache_cap: int = 64
+    # Must exceed the worst queueing delay a payload can see between being
+    # overheard and being needed for decoding, or saturated runs turn every
+    # coded frame undecodable.
+    pool_ttl: float = 10.0
+    pairing_hold: float = 0.015
+    drain_grace: float = 1.0
+    max_cope_components: int = 4
+    knowledge_cap: int = 256
 
 
 class _FlowFields(NamedTuple):

@@ -12,28 +12,24 @@ topology and destination set, for the flow check and every cell of a sweep.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .channel import Topology
-from .core import NodeId, Protocol, Record
+from .core import NodeId, Protocol
 
 
 class RoutingError(KeyError):
     """Missing forwarding entry or illegal table lookup."""
 
 
-class ForwardingTables(Record):
+class ForwardingTables(NamedTuple):
     """own[n][dst]: n's next hop toward dst; neighbor_copies[n][m]: n's copy
     of m's `own` table; hops[n][dst]: route length in hops. An entry is
     absent when dst is unreachable from n or not among the destinations
     the tables were built toward."""
-    __slots__ = ("own", "neighbor_copies", "hops")
-
-    def __init__(self, own: dict, neighbor_copies: dict,
-                 hops: dict | None = None):
-        self.own = own
-        self.neighbor_copies = neighbor_copies
-        self.hops = {} if hops is None else hops
+    own: dict
+    neighbor_copies: dict
+    hops: dict
 
     def hop_count(self, n: NodeId, dst: NodeId) -> int:
         if n == dst:

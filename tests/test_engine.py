@@ -1,4 +1,5 @@
 """Event scheduler, MAC arbitration, traffic generation and metrics."""
+import copy
 import random
 
 import pytest
@@ -181,6 +182,19 @@ class TestDeterminism:
         a, b = run(sc, seed=1), run(sc, seed=2)
         assert a != b  # overwhelmingly likely at this loss rate
 
+    @pytest.mark.parametrize("bump", ["events", "drops"])
+    def test_metrics_equality_sees_one_changed_counter(self, bump):
+        sc = x_scenario(Protocol.FLEXONC, ber=1e-4, pairs=20)
+        m = run(sc, seed=7)
+        assert m != run(sc, seed=8)
+        twin = copy.deepcopy(m)
+        assert twin == m
+        if bump == "events":
+            twin.events += 1
+        else:
+            twin.drops["retries_exhausted"] += 1
+        assert twin != m and not twin == m
+
 
 class TestConservation:
     @pytest.mark.parametrize("protocol", list(Protocol))
@@ -312,12 +326,17 @@ class TestValueConstruction:
         for module in (core_mod, node_mod, engine_mod):
             monkeypatch.setattr(module, "new_value", checked_new)
         m = run(x_scenario(protocol, ber=1e-4, pairs=40), seed=9)
-        kinds = {"PayloadId", "NativePacket", "Frame", "Ack"}
+        kinds = {"PayloadId", "NativePacket", "Frame", "Ack", "QueueEntry",
+                 "PendingEntry", "TxIntent"}
         if protocol != Protocol.PLAIN:
             assert m.tx_coded > 0
             kinds |= {"CodedPacket", "CodedComponent"}
         if protocol in (Protocol.BEND, Protocol.FLEXONC):
             assert m.helper_forwards > 0
+            kinds.add("HelperEntry")
+        if protocol == Protocol.BEND:
+            # In this cell only bend's firing helpers find a mix partner.
+            kinds.add("MixEntry")
         assert built == kinds
 
 

@@ -728,6 +728,37 @@ class TestNativeHelping:
         assert pkt.id in node.helper_timers
 
     @pytest.mark.parametrize("proto", [Protocol.BEND, Protocol.FLEXONC])
+    def test_refreshed_parked_native_stays_one_entry(self, ctx, proto):
+        # A refresh replaces the helper entry; a parked native's q2 entry
+        # is replaced by the same object, in its place in q2.
+        node = make_node(ctx, 5, proto)
+        pkt, actions = self.overhear(node)
+        (t1,) = timers_of(actions, TIMER_HELPER)
+        other = pkt._replace(id=PayloadId(0, 3))
+        node.on_data_frame(data_frame(other), now=1.0001)
+        again = node.on_data_frame(data_frame(pkt), now=1.0015)
+        (t2,) = timers_of(again, TIMER_HELPER)
+        assert t2.at > t1.at
+        entry = node.helper_timers[pkt.id]
+        assert node.q2[pkt.id] is entry and entry.fire_at == t2.at
+        assert list(node.q2) == [pkt.id, other.id]
+        assert node.q2[other.id] is node.helper_timers[other.id]
+
+    def test_refreshed_coded_takeover_helper_parks_nothing(self, ctx):
+        # Node 6 takes over fwd from a coded frame: its helper holds no
+        # queued copy, and a refresh must not park one.
+        node = make_node(ctx, 6, Protocol.FLEXONC)
+        fwd, rev = example_pair()
+        frame = data_frame(encode([fwd, rev], sender=1))
+        node._pool_add(rev.id, rev.payload, 0.0)
+        (t1,) = timers_of(node.on_data_frame(frame, now=1.0), TIMER_HELPER)
+        again = node.on_data_frame(frame, now=1.0015)
+        (t2,) = timers_of(again, TIMER_HELPER)
+        assert t2.at > t1.at and t2.key == fwd.id
+        assert node.helper_timers[fwd.id].fire_at == t2.at
+        assert not node.q2 and fwd.id not in node._queued
+
+    @pytest.mark.parametrize("proto", [Protocol.BEND, Protocol.FLEXONC])
     def test_q2_overflow_counts_the_drop_and_arms_no_timer(self, ctx, proto):
         node = make_node(ctx, 5, proto, SimParams(queue_cap=1))
         first, _ = self.overhear(node)

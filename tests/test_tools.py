@@ -63,3 +63,47 @@ class TestScaleProbeConfig:
         assert [(f.src, f.dst, f.interval, f.duration) for f in cfg.flows] == [
             (0, 4, 0.1, 10.0), (9, 5, 0.1, 10.0),
             (15, 19, 0.1, 10.0), (24, 20, 0.1, 10.0)]
+
+
+samebytes = load("samebytes")
+
+
+class TestSameBytes:
+    A = ["eight_node plain 0.0001 1\tevents=10\ttx_data=4\tdrops=[]",
+         "eight_node plain 0.0001 2\tevents=12\ttx_data=5\tdrops=[]"]
+
+    def test_equal_lists_have_no_difference(self):
+        assert samebytes.first_difference(self.A, list(self.A)) is None
+
+    def test_names_the_first_differing_cell_and_its_fields(self):
+        b = [self.A[0].replace("events=10", "events=11")
+             .replace("drops=[]", "drops=[('undecodable', 1)]"),
+             self.A[1].replace("tx_data=5", "tx_data=6")]
+        assert samebytes.first_difference(self.A, b) == (
+            "eight_node plain 0.0001 1: events, drops differ")
+
+    def test_reports_a_cell_count_mismatch(self):
+        assert samebytes.first_difference(self.A, self.A[:1]) == (
+            "cell counts differ: 2 against 1")
+
+    def test_cells_expand_to_the_two_digest_groups(self, monkeypatch):
+        # Every cell runs a stub that returns empty metrics, so the real
+        # expansion is counted without simulating anything.
+        import meshnc
+
+        class StubSimulation:
+            def __init__(self, scenario, seed):
+                self.rng = None
+
+            def run(self):
+                return meshnc.Metrics()
+
+        monkeypatch.setattr(meshnc, "Simulation", StubSimulation)
+        lines = samebytes.cell_lines()
+        first = lines[:samebytes.FIRST_DIGEST_CELLS]
+        assert (len(first), len(lines) - len(first)) == (156, 18)
+        assert sum(" coarse\t" in line for line in first) == 24
+        assert not any(" evict\t" in line for line in first)
+        assert all(" evict\t" in line and " plain " not in line
+                   for line in lines[len(first):])
+        assert len(set(line.split("\t")[0] for line in lines)) == 174
