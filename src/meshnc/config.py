@@ -156,7 +156,7 @@ _KEYS = {
                              "ber must be in [0,1): {value}"),)),
            ("seeds", int, ()))
        for spelling in (axis, axis[:-1])},
-    "name": ("name", str, (), ()),
+    "name": ("name", str, ((bool, "{key} must not be empty"),), ()),
     "topology": ("topology_kind", str, (
         (lambda kind: kind in TOPOLOGY_KINDS,
          f"topology must be one of {TOPOLOGY_KINDS}, got {{value!r}}"),),

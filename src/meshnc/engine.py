@@ -16,8 +16,9 @@ order `sample_reception` returns them (ascending node id, the order in
 which it consumes its draws), and a single random stream is consumed in
 event order. Nodes answer a frame, a timer or their own transmission with
 the events they want scheduled, `(at, event, body)` tuples that the engine
-pushes in the order given; an ACK changes only the state of the nodes that
-hear it, so `on_ack` returns none.
+pushes in the order given; a timer's body is the record it hands back to
+`on_timer`, and a wake-up (`E_WAKE`) only polls `ready` again. An ACK
+changes only the state of the nodes that hear it, so `on_ack` returns none.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import Optional
 from .channel import ChannelParams, sample_reception
 from .core import (Ack, Frame, PayloadId, ack_frame_bits, native_packet,
                    new_value)
-from .node import (E_ACK_TX, E_TIMER, Metrics, NodeState, TxIntent,
+from .node import (E_ACK_TX, E_TIMER, E_WAKE, Metrics, NodeState, TxIntent,
                    most_components)
 from .params import Scenario
 from .routing import (build_forwarding_tables, next_hop, sendable_hops,
@@ -184,10 +185,13 @@ class Simulation:
                 self._on_ack_end(a, b)
             elif kind == E_TIMER:
                 node = self.nodes[a]
-                actions = node.on_timer(b[0], b[1], t)
+                actions = node.on_timer(b, t)
                 if actions:
                     self._apply(a, actions)
                 if self._grant_at is None and node.ready(t):
+                    self._maybe_grant()
+            elif kind == E_WAKE:
+                if self._grant_at is None and self.nodes[a].ready(t):
                     self._maybe_grant()
             elif kind == E_TRAFFIC:
                 self._on_traffic(a, b)

@@ -4,12 +4,13 @@ One NodeState instance per node per run, driven by the event engine through
 five entry points: on_data_frame, on_ack, on_timer, select_transmission and
 after_transmit. The frame, timer and transmit handlers return the events the
 node wants scheduled, as `(at, event, body)` tuples the engine pushes onto
-its heap unchanged: an ACK to send (`E_ACK_TX`, body the `Ack`) or a timer
-to arm (`E_TIMER`, body `(kind, key)`). An ACK only updates state, so on_ack
-returns nothing. The engine owns the clock and the medium and asks
-`ready` whether a node contends for it, the one place the eligibility rule
-is written; the node owns queues, the decode pool, pending-retransmission
-records, helper timers and duplicate suppression.
+its heap unchanged: an ACK to send (`E_ACK_TX`, body the `Ack`), a timer
+(`E_TIMER`, body the record it fires: a sent native or a `HelperEntry`) or
+a wake-up at the end of a pairing hold (`E_WAKE`, no body). An ACK only
+updates state, so on_ack returns nothing. The engine owns the clock and the
+medium and asks `ready` whether a node contends for it (`select_transmission`
+repeats its q1-head test); the node owns queues, the decode pool,
+pending-retransmission records, helper timers and duplicate suppression.
 
 Frame reception walks the receiver-side flowchart: the intended forwarder of
 a native or decodable coded packet admits it, ACKs and progresses it; an
@@ -56,29 +57,16 @@ from .routing import ForwardingTables, RoutingError, neighbor_next_hop, next_hop
 PLAIN, COPE, BEND, FLEXONC = Protocol
 HELPING = (BEND, FLEXONC)  # the protocols with helpers and positional mixing
 
-TIMER_PENDING = 0
-TIMER_HELPER = 1
-TIMER_WAKEUP = 2  # no node work: the engine re-polls ready() when it fires
-
 # The engine's event kinds for what a node schedules itself.
 E_ACK_TX = 3
 E_TIMER = 5
+E_WAKE = 6
 
 
 class QueueEntry(NamedTuple):
     pkt: NativePacket
     eligible_at: float
     retx: bool = False
-
-
-class MixEntry(NamedTuple):
-    coded: CodedPacket
-    natives: tuple[NativePacket, ...]
-
-
-class PendingEntry(NamedTuple):
-    pkt: NativePacket
-    deadline: float
 
 
 class HelperEntry(NamedTuple):
@@ -148,7 +136,7 @@ class NodeState:
 
         self.q1: deque[QueueEntry] = deque()
         self.q2: dict[PayloadId, HelperEntry] = {}  # parked, in arrival order
-        self.mixing_q: deque[MixEntry] = deque()
+        self.mixing_q: deque[tuple[NativePacket, ...]] = deque()
         # Ids of the payloads in q1, q2 and mixing_q, one copy each. An id
         # joins when its payload enters the queues from outside and leaves
         # when the payload is sent or dropped; moves between queues keep it.
@@ -161,7 +149,7 @@ class NodeState:
         self.recent_rx: deque[PayloadId] = deque(maxlen=REPORT_LEN)
         self.ack_cache: deque[tuple[NodeId, PayloadId]] = deque()
         self._acked_by: dict[PayloadId, list[NodeId]] = {}
-        self.pending: dict[PayloadId, PendingEntry] = {}
+        self.pending: dict[PayloadId, NativePacket] = {}  # as last sent
         self.retries: dict[PayloadId, int] = {}
         self.helper_timers: dict[PayloadId, HelperEntry] = {}
         self.delivered: set[PayloadId] = set()
@@ -237,8 +225,7 @@ class NodeState:
         so this can check it."""
         held = {e.pkt.id for e in self.q1}
         held.update(self.q2)
-        for m in self.mixing_q:
-            held.update(n.id for n in m.natives)
+        held.update(n.id for natives in self.mixing_q for n in natives)
         held.update(self.pending)
         held.update(self.helper_timers)
         return held
@@ -354,7 +341,7 @@ class NodeState:
                 entry.pkt, entry.frame_sender, entry.onward, fire, entry.index))
             if self.q2.get(pid) is entry:  # parked: one entry in both maps
                 self.q2[pid] = later
-            actions.append((fire, E_TIMER, (TIMER_HELPER, pid)))
+            actions.append((fire, E_TIMER, later))
 
     def _accept(self, pkt: NativePacket, now: float, ack_delay: float,
                 actions: list[tuple]) -> None:
@@ -382,7 +369,7 @@ class NodeState:
         actions.append((now + self.params.turnaround + ack_delay, E_ACK_TX,
                         self._make_ack(pkt.id)))
         if eligible > now:
-            actions.append((eligible, E_TIMER, (TIMER_WAKEUP, None)))
+            actions.append((eligible, E_WAKE, None))
 
     def _onward(self, intended: NodeId, dst: NodeId) -> Optional[NodeId]:
         """The hop after `intended` toward `dst`, read from this node's copy
@@ -412,7 +399,7 @@ class NodeState:
         fire = now + helper_hold_time(index, self.params.timers)
         entry = self.helper_timers[pkt.id] = new_value(
             HelperEntry, (pkt, sender, onward, fire, index))
-        actions.append((fire, E_TIMER, (TIMER_HELPER, pkt.id)))
+        actions.append((fire, E_TIMER, entry))
         return entry
 
     def _on_native(self, p: NativePacket, frame: Frame, now: float) -> list[tuple]:
@@ -520,9 +507,9 @@ class NodeState:
             self.knowledge.merge(sender, (*report, pid), now)
         sender_hood = self.nbrs(sender)
 
-        entry = self.pending.get(pid)
-        if entry is not None:
-            nh = entry.pkt.next_hop
+        sent = self.pending.get(pid)
+        if sent is not None:
+            nh = sent.next_hop
             if nh == sender or nh in sender_hood:
                 del self.pending[pid]
                 self.retries.pop(pid, None)
@@ -560,30 +547,32 @@ class NodeState:
                     del self.q1[i]
                     self._queued.discard(pid)
                 return
-        for i, m in enumerate(self.mixing_q):
-            for n in m.natives:
+        for i, natives in enumerate(self.mixing_q):
+            for n in natives:
                 if n.id == pid:
                     if progress(sender, n):
                         del self.mixing_q[i]
                         self._queued.discard(pid)
                         self.q1.extendleft(
                             new_value(QueueEntry, (other, 0.0, False))
-                            for other in m.natives if other.id != pid)
+                            for other in natives if other.id != pid)
                     return
 
     # --------------------------------------------------------------- timers
 
-    def on_timer(self, kind: int, key, now: float) -> list[tuple]:
-        if kind == TIMER_PENDING:
-            return self._fire_pending(key, now)
-        if kind == TIMER_HELPER:
-            return self._fire_helper(key, now)
-        return []
+    def on_timer(self, record, now: float) -> list[tuple]:
+        """Fire `record` if it is still its payload's current record. `is`
+        tells: every send stamps a new native and every arm or refresh builds
+        a new entry, and the one object stored again, a native re-queued by
+        `_fire_pending`, is sent again only after its own timer has fired."""
+        if type(record) is HelperEntry:
+            return self._fire_helper(record, now)
+        return self._fire_pending(record, now)
 
-    def _fire_pending(self, pid: PayloadId, now: float) -> list[tuple]:
-        entry = self.pending.get(pid)
-        if entry is None or entry.deadline > now + 1e-12:
-            return []
+    def _fire_pending(self, sent: NativePacket, now: float) -> list[tuple]:
+        pid = sent.id
+        if self.pending.get(pid) is not sent:
+            return []  # acknowledged, ceded or sent again
         del self.pending[pid]
         if pid in self._queued:
             return []  # another copy is already queued here
@@ -594,7 +583,7 @@ class NodeState:
             return []
         self.retries[pid] = left - 1
         # Unacked payloads always go back out as natives, at the queue head.
-        self.q1.appendleft(new_value(QueueEntry, (entry.pkt, now, True)))
+        self.q1.appendleft(new_value(QueueEntry, (sent, now, True)))
         self._queued.add(pid)
         if len(self.q1) > self.params.queue_cap:
             tail = self.q1.pop()
@@ -602,9 +591,9 @@ class NodeState:
             self.metrics.drops["queue_overflow"] += 1
         return []
 
-    def _fire_helper(self, pid: PayloadId, now: float) -> list[tuple]:
-        entry = self.helper_timers.get(pid)
-        if entry is None or entry.fire_at > now + 1e-12:
+    def _fire_helper(self, entry: HelperEntry, now: float) -> list[tuple]:
+        pid = entry.pkt.id
+        if self.helper_timers.get(pid) is not entry:
             return []  # cancelled, or pushed out by a fresher transmission
         del self.helper_timers[pid]
         if pid in self.pending or pid in self.delivered:
@@ -625,15 +614,13 @@ class NodeState:
         self.metrics.helper_forwards += 1
         partner = self._take_partner(forwarded, heads_only=True)
         if partner is not None:
-            natives = (forwarded, partner.pkt)
-            coded = encode([self._stamp_for_tx(n) for n in natives], self.node_id)
-            self.mixing_q.append(new_value(MixEntry, (coded, natives)))
+            self.mixing_q.append((forwarded, partner.pkt))
         else:
             # Taken-over packets queue like any forwarded packet, pairing
             # hold included, so they can still ride coded frames from here.
             eligible = now + self.params.pairing_hold
             self.q1.append(new_value(QueueEntry, (forwarded, eligible, False)))
-            actions.append((eligible, E_TIMER, (TIMER_WAKEUP, None)))
+            actions.append((eligible, E_WAKE, None))
         if not parked:  # a parked native only moved from q2
             self._queued.add(pid)
         return actions
@@ -662,11 +649,13 @@ class NodeState:
         q1 = self.q1
         q1_ok = bool(q1) and q1[0].eligible_at <= now + 1e-12
         if self.mixing_q and (self._serve_mix_next or not q1_ok):
-            m = self.mixing_q.popleft()
-            self._queued.difference_update(n.id for n in m.natives)
+            natives = self.mixing_q.popleft()
+            self._queued.difference_update(n.id for n in natives)
             self._serve_mix_next = False
-            return new_value(TxIntent, (self._build_data_frame(m.coded),
-                                         m.natives, 0))
+            stamped = tuple(self._stamp_for_tx(n) for n in natives)
+            frame = self._build_data_frame(encode(stamped, self.node_id))
+            # Unstamped: their pending records keep the upstream prev_hop.
+            return new_value(TxIntent, (frame, natives, 0))
         if not q1_ok:
             return None
         self._serve_mix_next = True
@@ -749,9 +738,9 @@ class NodeState:
         deadline = end + self._ack_wait[len(intent.natives)]
         actions: list[tuple] = []
         for native in intent.natives:
-            self.pending[native.id] = new_value(PendingEntry, (native, deadline))
+            self.pending[native.id] = native
             self.retries.setdefault(native.id, self.params.retry_limit)
-            actions.append((deadline, E_TIMER, (TIMER_PENDING, native.id)))
+            actions.append((deadline, E_TIMER, native))
             if self.protocol != PLAIN:
                 self._pool_add(native.id, native.payload, end)
         return actions

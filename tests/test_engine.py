@@ -245,7 +245,7 @@ class TestConservation:
         m = sim.run()
         for nid, node in sim.nodes.items():
             queued = [e.pkt.id for e in node.q1] + list(node.q2)
-            queued += [n.id for mix in node.mixing_q for n in mix.natives]
+            queued += [n.id for mix in node.mixing_q for n in mix]
             assert len(queued) == len(set(queued)), f"node {nid} queues twice"
             assert node._queued == set(queued), (
                 f"node {nid}: index and queues differ by "
@@ -323,20 +323,32 @@ class TestValueConstruction:
             built.add(cls.__name__)
             return tuple.__new__(cls, fields)
 
+        mixes_sent = 0
+        select = node_mod.NodeState.select_transmission
+
+        def counted_select(node, now):
+            nonlocal mixes_sent
+            queued = len(node.mixing_q)
+            intent = select(node, now)
+            mixes_sent += queued - len(node.mixing_q)
+            return intent
+
         for module in (core_mod, node_mod, engine_mod):
             monkeypatch.setattr(module, "new_value", checked_new)
+        monkeypatch.setattr(node_mod.NodeState, "select_transmission",
+                            counted_select)
         m = run(x_scenario(protocol, ber=1e-4, pairs=40), seed=9)
         kinds = {"PayloadId", "NativePacket", "Frame", "Ack", "QueueEntry",
-                 "PendingEntry", "TxIntent"}
+                 "TxIntent"}
         if protocol != Protocol.PLAIN:
             assert m.tx_coded > 0
             kinds |= {"CodedPacket", "CodedComponent"}
         if protocol in (Protocol.BEND, Protocol.FLEXONC):
             assert m.helper_forwards > 0
             kinds.add("HelperEntry")
-        if protocol == Protocol.BEND:
-            # In this cell only bend's firing helpers find a mix partner.
-            kinds.add("MixEntry")
+        # In this cell only bend's firing helpers find a mix partner, and
+        # select_transmission sends their mixes off the mixing queue.
+        assert (mixes_sent > 0) == (protocol == Protocol.BEND)
         assert built == kinds
 
 

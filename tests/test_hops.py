@@ -1,10 +1,7 @@
 """Sendable hop sets: the hops each node can ever address a packet to, which
 bound the neighbors whose knowledge it keeps."""
-import math
-
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from meshnc import (
     Flow,
@@ -16,7 +13,7 @@ from meshnc import (
 )
 from meshnc.routing import sendable_hops
 
-RANGE = 250.0
+from mesh_strategies import RANGE, mesh_configs
 
 # A line 0 - 1 - 2 with node 3 in range of all three: the route 0 -> 2 runs
 # through 1 (lowest id of the two equally close), and 3 can stand in for 1.
@@ -61,32 +58,6 @@ class TestSendableHops:
         with pytest.raises(ValueError, match=message):
             sendable_hops(topo, tables, (Flow(0, 1, 0.1, 1.0), flow),
                           Protocol.FLEXONC)
-
-
-@st.composite
-def mesh_configs(draw):
-    """Config text for a connected explicit topology of 3-12 nodes: each
-    node after the first sits within range of an earlier one. Random flows
-    between distinct nodes, one BER in [0, 3e-4], one seed."""
-    n = draw(st.integers(3, 12))
-    pos = [(0.0, 0.0)]
-    for k in range(1, n):
-        x, y = pos[draw(st.integers(0, k - 1))]
-        angle = math.radians(draw(st.integers(0, 359)))
-        dist = draw(st.integers(60, 240))
-        pos.append((round(x + dist * math.cos(angle), 1),
-                    round(y + dist * math.sin(angle), 1)))
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda p: p[0] != p[1])
-    flows = draw(st.lists(pairs, min_size=1, max_size=4))
-    interval = draw(st.sampled_from([0.02, 0.05, 0.1]))
-    ber = draw(st.floats(0.0, 3e-4))
-    seed = draw(st.integers(1, 1000))
-    lines = ["name = hops", "protocols = cope, bend, flexonc",
-             f"bers = {ber!r}", f"seeds = {seed}", f"range = {RANGE}"]
-    lines += [f"node = {i}, {x}, {y}" for i, (x, y) in enumerate(pos)]
-    lines += [f"flow = {s}, {d}, {interval}, 5" for s, d in flows]
-    return "\n".join(lines) + "\n"
 
 
 def watch_sends(sim, sent):

@@ -25,12 +25,10 @@ from meshnc.core import data_frame_bits
 from meshnc.node import (
     E_ACK_TX,
     E_TIMER,
+    E_WAKE,
     HelperEntry,
     NodeState,
     QueueEntry,
-    TIMER_HELPER,
-    TIMER_PENDING,
-    TIMER_WAKEUP,
 )
 
 PARAMS = SimParams()
@@ -88,8 +86,7 @@ class SentAck(NamedTuple):
 
 class ArmedTimer(NamedTuple):
     at: float
-    kind: int
-    key: object
+    record: object  # the record the timer fires
 
 
 def acks_of(actions):
@@ -99,9 +96,10 @@ def acks_of(actions):
 
 
 def timers_of(actions, kind=None):
-    """The timers among a handler's events, of `kind` if given."""
-    return [ArmedTimer(at, *body) for at, event, body in actions
-            if event == E_TIMER and (kind is None or body[0] == kind)]
+    """The timers among a handler's events, those firing a record of type
+    `kind` if given: a `HelperEntry`, or a sent `NativePacket`."""
+    return [ArmedTimer(at, body) for at, event, body in actions
+            if event == E_TIMER and (kind is None or type(body) is kind)]
 
 
 class TestCodedReception:
@@ -199,7 +197,7 @@ class TestCodedReception:
         node._pool_add(rev.id, rev.payload, 0.0)
         actions = node.on_data_frame(data_frame(coded), now=1.0)
         assert acks_of(actions) == []  # no immediate transmission
-        (timer,) = timers_of(actions, TIMER_HELPER)
+        (timer,) = timers_of(actions, HelperEntry)
         # Priority list of sender 1 with intended 2: [2, 0, 5, 6] -> index 3.
         assert timer.at == pytest.approx(1.0 + 3 * SLOT)
         assert node.helper_timers[fwd.id].onward == 3
@@ -402,8 +400,8 @@ class TestTimerHandling:
         coded = encode([fwd, rev], sender=1)
         node._pool_add(rev.id, rev.payload, 0.0)
         (timer,) = timers_of(node.on_data_frame(data_frame(coded), 1.0),
-                             TIMER_HELPER)
-        actions = node.on_timer(TIMER_HELPER, fwd.id, now=timer.at)
+                             HelperEntry)
+        actions = node.on_timer(timer.record, now=timer.at)
         (ack,) = acks_of(actions)
         assert ack.ack == Ack(6, fwd.id)
         assert node.metrics.helper_forwards == 1
@@ -411,13 +409,16 @@ class TestTimerHandling:
         assert node.q1[0].pkt.next_hop == 3  # next hop from node 2 toward 4
         assert node.q1[0].pkt.payload == fwd.payload
 
-    def test_helper_remix_keeps_both_payloads_queued(self, ctx):
+    @staticmethod
+    def fire_helper_into_mix(ctx):
+        """Node 6 takes fwd over from a coded frame, and its helper timer
+        fires with a mix partner at the head of q1."""
         node = make_node(ctx, 6, Protocol.FLEXONC)
         fwd, rev = example_pair()
         node._pool_add(rev.id, rev.payload, 0.0)
         (timer,) = timers_of(
             node.on_data_frame(data_frame(encode([fwd, rev], sender=1)), 1.0),
-            TIMER_HELPER)
+            HelperEntry)
         # A reverse packet from node 3 toward node 2 heads q1; once node 6
         # takes fwd over (onward hop 3), the two mix, and each receiver is
         # believed to hold the other's packet.
@@ -425,9 +426,41 @@ class TestTimerHandling:
         node.enqueue_source(head, 0.0)
         node.knowledge.add(3, head.id)
         node.knowledge.add(2, fwd.id)
-        node.on_timer(TIMER_HELPER, fwd.id, now=timer.at)
-        assert [n.id for n in node.mixing_q[0].natives] == [fwd.id, head.id]
+        node.on_timer(timer.record, now=timer.at)
+        return node, fwd, head, timer.at
+
+    def test_helper_remix_keeps_both_payloads_queued(self, ctx):
+        node, fwd, head, _ = self.fire_helper_into_mix(ctx)
+        assert [n.id for n in node.mixing_q[0]] == [fwd.id, head.id]
         assert {fwd.id, head.id} <= node._queued
+
+    def test_queued_helper_mix_is_encoded_when_sent(self, ctx, monkeypatch):
+        # The mix waits in the mixing queue as natives, and goes out as one
+        # coded frame, built when it is sent. Its two payloads then await
+        # ACKs; an ACK from fwd's onward hop retires one record, so only
+        # the other's timer sends its payload again.
+        encoded = []
+        encode_now = meshnc.node.encode
+        monkeypatch.setattr(meshnc.node, "encode", lambda natives, sender: (
+            encoded.append([n.id for n in natives])
+            or encode_now(natives, sender)))
+        node, fwd, head, now = self.fire_helper_into_mix(ctx)
+        assert encoded == [] and len(node.mixing_q) == 1
+        intent = node.select_transmission(now)
+        assert encoded == [[fwd.id, head.id]] and not node.mixing_q
+        body = intent.frame.body
+        assert isinstance(body, CodedPacket) and body.sender == 6
+        assert [(c.id, c.intended_next_hop) for c in body.components] == [
+            (fwd.id, 3), (head.id, 2)]
+        assert not node._queued and not node.q1
+        timers = timers_of(node.after_transmit(intent, now + 0.01))
+        assert [t.record for t in timers] == list(intent.natives)
+        assert set(node.pending) == {fwd.id, head.id}
+        node.on_ack(Ack(3, fwd.id), (), now=now + 0.011)
+        for t in timers:
+            assert node.on_timer(t.record, t.at) == []
+        assert not node.pending
+        assert [(e.pkt.id, e.retx) for e in node.q1] == [(head.id, True)]
 
     def test_exhausted_retries_drop(self, ctx):
         node = make_node(ctx, 1, Protocol.PLAIN)
@@ -439,10 +472,9 @@ class TestTimerHandling:
             intent = node.select_transmission(now)
             assert intent is not None
             retx_flags += intent.retx_count
-            node.after_transmit(intent, now + 0.008)
-            deadline = node.pending[pkt.id].deadline
-            node.on_timer(TIMER_PENDING, pkt.id, deadline)
-            now = deadline
+            (timer,) = timers_of(node.after_transmit(intent, now + 0.008))
+            node.on_timer(timer.record, timer.at)
+            now = timer.at
         assert node.metrics.drops["retries_exhausted"] == 1
         assert not node.q1 and pkt.id not in node.pending
         assert retx_flags == PARAMS.retry_limit
@@ -457,11 +489,11 @@ class TestTimerHandling:
         seed_pair_evidence(node, fwd, rev)
         intent = node.select_transmission(0.0)
         assert isinstance(intent.frame.body, CodedPacket)
-        node.after_transmit(intent, end=0.009)
+        timers = timers_of(node.after_transmit(intent, end=0.009))
         node.on_ack(Ack(2, fwd.id), (), now=0.010)
-        deadline = node.pending[rev.id].deadline
-        node.on_timer(TIMER_PENDING, rev.id, deadline)
-        retx = node.select_transmission(deadline)
+        for timer in timers:
+            node.on_timer(timer.record, timer.at)
+        retx = node.select_transmission(timers[-1].at)
         assert isinstance(retx.frame.body, NativePacket)
         assert retx.frame.body.id == rev.id
         assert retx.retx_count == 1
@@ -485,15 +517,39 @@ class TestTimerHandling:
         node.on_data_frame(data_frame(onward), now=1.04)
         assert pkt.id not in node.pending
 
-    def test_stale_pending_timer_is_ignored(self, ctx):
+    def test_resent_payload_fires_only_its_latest_record(self, ctx):
+        # Node 1 relays a payload to 2. Its own receipt ACK leaves its
+        # one-entry ACK cache, so node 0's retry is admitted and sent again
+        # before the first ACK wait ends. The first send's timer finds a
+        # newer record and does nothing; the second send's timer fires.
+        node = make_node(ctx, 1, Protocol.PLAIN, SimParams(ack_cache_cap=1))
+        pkt = native(0, 3, src=0, dst=4, prev=0, nxt=1)
+        node.on_data_frame(data_frame(pkt), now=1.0)
+        (first,) = timers_of(
+            node.after_transmit(node.select_transmission(1.0), end=1.01))
+        node.on_ack(Ack(2, PayloadId(0, 4)), (), now=1.011)
+        node.on_data_frame(data_frame(pkt), now=1.012)
+        (second,) = timers_of(
+            node.after_transmit(node.select_transmission(1.012), end=1.02))
+        assert first.at > 1.012 and second.at > first.at
+        assert node.on_timer(first.record, first.at) == []
+        assert node.pending[pkt.id] is second.record
+        assert not node.q1 and node.retries[pkt.id] == PARAMS.retry_limit
+        assert node.on_timer(second.record, second.at) == []
+        assert pkt.id not in node.pending
+        assert [(e.pkt, e.retx) for e in node.q1] == [(second.record, True)]
+        assert node.retries[pkt.id] == PARAMS.retry_limit - 1
+
+    def test_timer_of_an_acked_record_does_nothing(self, ctx):
         node = make_node(ctx, 1, Protocol.PLAIN)
         pkt = native(0, 3, src=0, dst=4, prev=1, nxt=2)
         node.enqueue_source(pkt, 0.0)
-        intent = node.select_transmission(0.0)
-        node.after_transmit(intent, end=0.009)
-        deadline = node.pending[pkt.id].deadline
-        node.on_timer(TIMER_PENDING, pkt.id, deadline - 0.001)  # early
-        assert pkt.id in node.pending
+        (timer,) = timers_of(
+            node.after_transmit(node.select_transmission(0.0), end=0.009))
+        node.on_ack(Ack(2, pkt.id), (), now=0.010)
+        assert node.on_timer(timer.record, timer.at) == []
+        assert not node.pending and not node.q1 and not node._queued
+        assert not node.metrics.drops
 
 
 # Every knob that sets an event time, off its default, so that a wrong
@@ -525,7 +581,7 @@ class TestEventTimes:
         now = 1.25
         assert node.on_data_frame(data_frame(pkt), now) == [
             (now + TIMED.turnaround, E_ACK_TX, Ack(2, pkt.id)),
-            (now + TIMED.pairing_hold, E_TIMER, (TIMER_WAKEUP, None))]
+            (now + TIMED.pairing_hold, E_WAKE, None)]
 
     def test_firing_helper_acks_first_then_wakes_after_the_pairing_hold(
             self, ctx):
@@ -533,12 +589,12 @@ class TestEventTimes:
         fwd, rev = example_pair()
         node._pool_add(rev.id, rev.payload, 0.0)
         (timer,) = timers_of(node.on_data_frame(
-            data_frame(encode([fwd, rev], sender=1)), 1.0), TIMER_HELPER)
+            data_frame(encode([fwd, rev], sender=1)), 1.0), HelperEntry)
         # Node 6 has rank 3 for sender 1 and intended 2: [2, 0, 5, 6].
         assert timer.at == 1.0 + 3 * TIMED.timers.ack_slot
-        assert node.on_timer(TIMER_HELPER, fwd.id, timer.at) == [
+        assert node.on_timer(timer.record, timer.at) == [
             (timer.at + TIMED.turnaround, E_ACK_TX, Ack(6, fwd.id)),
-            (timer.at + TIMED.pairing_hold, E_TIMER, (TIMER_WAKEUP, None))]
+            (timer.at + TIMED.pairing_hold, E_WAKE, None)]
 
     @pytest.mark.parametrize("proto", [Protocol.BEND, Protocol.FLEXONC])
     def test_after_transmit_arms_each_pending_timer_after_the_ack_wait(
@@ -552,9 +608,9 @@ class TestEventTimes:
         wait = node._ack_wait[2]
         assert wait == sender_timeout(proto, 2, node.deg, TIMED.timers)
         end = 0.0093
+        assert [n.id for n in coded.natives] == [fwd.id, rev.id]
         assert node.after_transmit(coded, end) == [
-            (end + wait, E_TIMER, (TIMER_PENDING, fwd.id)),
-            (end + wait, E_TIMER, (TIMER_PENDING, rev.id))]
+            (end + wait, E_TIMER, native) for native in coded.natives]
 
         lone = native(0, 8, src=0, dst=4, prev=0, nxt=2)
         node.enqueue_source(lone, 0.02)
@@ -562,7 +618,8 @@ class TestEventTimes:
         assert node._ack_wait[1] == TIMED.timers.base_timeout
         end = 0.0291
         assert node.after_transmit(intent, end) == [
-            (end + node._ack_wait[1], E_TIMER, (TIMER_PENDING, lone.id))]
+            (end + node._ack_wait[1], E_TIMER, intent.natives[0])]
+        assert node.pending[lone.id] is intent.natives[0]
 
 
 class TestAdmission:
@@ -671,7 +728,7 @@ class TestNativeHelping:
     def test_overhearer_arms_native_helper(self, ctx, proto):
         node = make_node(ctx, 5, proto)
         pkt, actions = self.overhear(node)
-        (timer,) = timers_of(actions, TIMER_HELPER)
+        (timer,) = timers_of(actions, HelperEntry)
         # Priority list of sender 0 with intended 1: [1, 5] -> index 1.
         assert timer.at == pytest.approx(1.0 + 1 * SLOT)
         assert len(node.q2) == 1
@@ -680,8 +737,8 @@ class TestNativeHelping:
     def test_native_helper_fire_redirects_to_onward_hop(self, ctx):
         node = make_node(ctx, 5, Protocol.BEND)
         pkt, actions = self.overhear(node)
-        (timer,) = timers_of(actions, TIMER_HELPER)
-        fired = node.on_timer(TIMER_HELPER, pkt.id, timer.at)
+        (timer,) = timers_of(actions, HelperEntry)
+        fired = node.on_timer(timer.record, timer.at)
         (ack,) = acks_of(fired)
         assert ack.ack == Ack(5, pkt.id)
         assert node.q1[0].pkt.next_hop == 2
@@ -720,11 +777,11 @@ class TestNativeHelping:
     def test_fresh_transmission_pushes_helper_out(self, ctx):
         node = make_node(ctx, 5, Protocol.BEND)
         pkt, actions = self.overhear(node)
-        (t1,) = timers_of(actions, TIMER_HELPER)
+        (t1,) = timers_of(actions, HelperEntry)
         again = node.on_data_frame(data_frame(pkt), now=1.0015)
-        (t2,) = timers_of(again, TIMER_HELPER)
+        (t2,) = timers_of(again, HelperEntry)
         assert t2.at > t1.at
-        assert node.on_timer(TIMER_HELPER, pkt.id, t1.at) == []  # stale
+        assert node.on_timer(t1.record, t1.at) == []  # stale
         assert pkt.id in node.helper_timers
 
     @pytest.mark.parametrize("proto", [Protocol.BEND, Protocol.FLEXONC])
@@ -733,11 +790,11 @@ class TestNativeHelping:
         # is replaced by the same object, in its place in q2.
         node = make_node(ctx, 5, proto)
         pkt, actions = self.overhear(node)
-        (t1,) = timers_of(actions, TIMER_HELPER)
+        (t1,) = timers_of(actions, HelperEntry)
         other = pkt._replace(id=PayloadId(0, 3))
         node.on_data_frame(data_frame(other), now=1.0001)
         again = node.on_data_frame(data_frame(pkt), now=1.0015)
-        (t2,) = timers_of(again, TIMER_HELPER)
+        (t2,) = timers_of(again, HelperEntry)
         assert t2.at > t1.at
         entry = node.helper_timers[pkt.id]
         assert node.q2[pkt.id] is entry and entry.fire_at == t2.at
@@ -751,10 +808,10 @@ class TestNativeHelping:
         fwd, rev = example_pair()
         frame = data_frame(encode([fwd, rev], sender=1))
         node._pool_add(rev.id, rev.payload, 0.0)
-        (t1,) = timers_of(node.on_data_frame(frame, now=1.0), TIMER_HELPER)
+        (t1,) = timers_of(node.on_data_frame(frame, now=1.0), HelperEntry)
         again = node.on_data_frame(frame, now=1.0015)
-        (t2,) = timers_of(again, TIMER_HELPER)
-        assert t2.at > t1.at and t2.key == fwd.id
+        (t2,) = timers_of(again, HelperEntry)
+        assert t2.at > t1.at and t2.record.pkt.id == fwd.id
         assert node.helper_timers[fwd.id].fire_at == t2.at
         assert not node.q2 and fwd.id not in node._queued
 
@@ -777,7 +834,7 @@ class TestNativeHelping:
         # goes out addressed to 2, and its helper timer is gone.
         node = make_node(ctx, 5, proto)
         pkt, actions = self.overhear(node)
-        (timer,) = timers_of(actions, TIMER_HELPER)
+        (timer,) = timers_of(actions, HelperEntry)
         head = native(1, 9, src=4, dst=0, prev=2, nxt=0)
         node.enqueue_source(head, 1.0)
         node.knowledge.add(2, head.id)
@@ -786,7 +843,7 @@ class TestNativeHelping:
         assert {c.id: c.intended_next_hop for c in body.components} == {
             head.id: 0, pkt.id: 2}
         assert pkt.id not in node.helper_timers and not node.q2
-        assert node.on_timer(TIMER_HELPER, pkt.id, timer.at) == []
+        assert node.on_timer(timer.record, timer.at) == []
         assert node.metrics.helper_forwards == 0 and not node.q1
 
     @pytest.mark.parametrize("proto", [Protocol.BEND, Protocol.FLEXONC])
@@ -795,15 +852,15 @@ class TestNativeHelping:
         blocker = native(1, 9, src=5, dst=0, prev=5, nxt=0)
         node.enqueue_source(blocker, 1.0)
         pkt, actions = self.overhear(node)
-        (timer,) = timers_of(actions, TIMER_HELPER)
+        (timer,) = timers_of(actions, HelperEntry)
         assert pkt.id in node.held_payloads()
-        assert node.on_timer(TIMER_HELPER, pkt.id, timer.at) == []
+        assert node.on_timer(timer.record, timer.at) == []
         assert node.metrics.drops["helper_queue_full"] == 1
         assert pkt.id not in node.held_payloads() and not node.q2
         assert [e.pkt.id for e in node.q1] == [blocker.id]
         # Released for good: hearing the payload again parks it afresh.
         _, again = self.overhear(node, now=timer.at + 0.001)
-        assert len(timers_of(again, TIMER_HELPER)) == 1
+        assert len(timers_of(again, HelperEntry)) == 1
 
 
 class TestQueueBounds:

@@ -294,14 +294,107 @@ class TestParseConfig:
         assert cfg.topology_kind == "x_topo"
 
 
-class TestReadmeConfigKeys:
-    @staticmethod
-    def ini_block():
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+def readme_config():
+    """The example config in README's ```ini block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
 
+
+EXPLICIT = """\
+name = line
+node = 0, 0, 0
+node = 1, 200, 0
+node = 2, 400, 0
+node = 3, 200, 150
+range = 250
+protocols = plain, flexonc
+bers = 0, 1e-4
+seeds = 1, 2
+flow = 0, 2, 0.5, 5
+flow = 2, 0, 0.5, 5
+pool_ttl = 2.5
+queue_cap = 32
+"""
+NUMERIC_KEYS = ({"node", "flow", "range", "ber", "bers", "seed", "seeds"}
+                | _FLOAT_PARAMS | _INT_PARAMS)
+NUMBER = re.compile(r"\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+
+
+def mutations(text):
+    """(id, mutated config, the line its ConfigError must name) for each
+    mutation of each key line of `text`: drop the value, break each number
+    of a numeric key, point a flow at an unknown node, give a later node
+    the first node's id, and repeat the line (a key given twice; a flow
+    line may repeat, so it is left out)."""
+    lines = text.splitlines()
+    first_node = next((i for i, line in enumerate(lines)
+                       if line.startswith("node =")), None)
+    for i, line in enumerate(lines):
+        code = line.split("#", 1)[0]
+        if "=" not in code:
+            continue
+        key, _, value = (part.strip() for part in code.partition("="))
+        n = i + 1
+
+        def swap(new):
+            return "\n".join(lines[:i] + [new] + lines[i + 1:]) + "\n"
+
+        yield f"{n}-{key}-no-value", swap(f"{key} ="), n
+        if key in NUMERIC_KEYS:
+            for m in NUMBER.finditer(value):
+                broken = f"{value[:m.end()]}x{value[m.end():]}"
+                yield (f"{n}-{key}-bad-number-{m.start()}",
+                       swap(f"{key} = {broken}"), n)
+        if key == "flow":
+            src, dst, rest = value.split(",", 2)
+            yield f"{n}-flow-to-unknown", swap(f"flow = {src}, 99,{rest}"), n
+            yield f"{n}-flow-from-unknown", swap(f"flow = 99,{dst},{rest}"), n
+        elif key == "node" and i > first_node:
+            first_id = lines[first_node].partition("=")[2].split(",")[0]
+            yield (f"{n}-node-duplicate-id",
+                   swap(f"node ={first_id},{value.split(',', 1)[1]}"), n)
+        if key != "flow":
+            yield f"{n}-{key}-repeated", swap(f"{line}\n{line}"), n + 1
+
+
+MUTANTS = [(f"{name}-{mid}", text, line)
+           for name, base in (("readme", readme_config()),
+                              ("explicit", EXPLICIT))
+           for mid, text, line in mutations(base)]
+
+
+class TestMutatedConfigs:
+    """Each line of two valid configs, broken one way at a time: the error
+    is always a ConfigError naming the broken line, and nothing else
+    escapes `parse_config`."""
+
+    @pytest.mark.parametrize("base", [readme_config(), EXPLICIT],
+                             ids=["readme", "explicit"])
+    def test_the_unbroken_configs_parse(self, base):
+        cfg = parse_config(base)
+        assert len(cfg.resolved_flows()) == 2
+        # A flow line may repeat: the same traffic twice is two flows.
+        flow = next(line for line in base.splitlines()
+                    if line.startswith("flow"))
+        assert len(parse_config(f"{base}{flow}\n").resolved_flows()) == 3
+
+    def test_every_mutation_kind_is_made(self):
+        kinds = {mid.split("-", 3)[3] for mid, _, _ in MUTANTS}
+        assert {"no-value", "repeated", "duplicate-id", "to-unknown",
+                "from-unknown"} <= kinds
+        assert any(k.startswith("bad-number") for k in kinds)
+
+    @pytest.mark.parametrize("text, line", [m[1:] for m in MUTANTS],
+                             ids=[m[0] for m in MUTANTS])
+    def test_names_the_mutated_line(self, text, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.line_no == line, str(err.value)
+
+
+class TestReadmeConfigKeys:
     def test_knob_list_names_every_numeric_key(self):
-        block = self.ini_block()
+        block = readme_config()
         # Knob lines are indented comments without '='; `range` has a
         # line of its own beside `node`.
         knobs = [k for line in re.findall(r"^#   ([a-z_, ]+)$", block, re.M)
@@ -311,7 +404,7 @@ class TestReadmeConfigKeys:
         assert set(knobs) | {"range"} == _FLOAT_PARAMS | _INT_PARAMS
 
     def test_every_key_named_is_accepted(self):
-        block = self.ini_block()
+        block = readme_config()
         keys = set(re.findall(r"^[#\s]*([a-z_]+) =", block, re.M))
         keys |= _FLOAT_PARAMS | _INT_PARAMS
         for key in sorted(keys):
@@ -322,7 +415,7 @@ class TestReadmeConfigKeys:
 
 
 class TestSimParamsRecord:
-    """SimParams is a hand-built record: it must stay immutable, hashable and
+    """SimParams is a NamedTuple value: it must stay immutable, hashable and
     picklable (a pooled sweep pickles it into each worker)."""
     PARAMS = SimParams(timers=TimerParams(ack_slot=0.003, base_timeout=0.007),
                        cw=16, pool_ttl=2.5, knowledge_cap=128)

@@ -22,7 +22,7 @@ from meshnc import (
 )
 from meshnc.routing import RoutingError, sendable_hops
 
-from test_hops import mesh_configs
+from mesh_strategies import mesh_configs
 
 SWEEP = """
 topology = grid5

@@ -107,3 +107,40 @@ class TestSameBytes:
         assert all(" evict\t" in line and " plain " not in line
                    for line in lines[len(first):])
         assert len(set(line.split("\t")[0] for line in lines)) == 174
+
+    def test_event_order_is_read_off_every_engine_pop(self, monkeypatch):
+        # Restored by monkeypatch after the test, as the child never is.
+        import heapq
+        import struct
+
+        from meshnc import (Flow, Protocol, Scenario, Simulation,
+                            build_topology, default_flows)
+        monkeypatch.setattr(heapq, "heappop", heapq.heappop)
+
+        class Chunks(list):
+            update = list.append
+
+        popped = Chunks()
+        samebytes.record_event_order(popped)
+        flows = tuple(Flow(f.src, f.dst, f.interval, 5.0)
+                      for f in default_flows("x_topo"))
+        sim = Simulation(Scenario("x_topo", build_topology("x_topo"),
+                                  Protocol.FLEXONC, 1e-4, flows), 1)
+        m = sim.run()
+        order = [struct.unpack("<dq", chunk) for chunk in popped]
+        # Every handled event, and the first one past the horizon if any.
+        assert m.events > 0 and len(order) - m.events in (0, 1)
+        assert order == sorted(order)
+        assert order[m.events - 1][0] == sim.now
+
+    def test_an_event_order_difference_fails_the_audit(self, monkeypatch,
+                                                       capsys):
+        lines = self.A
+        events = iter(["a" * 64, "b" * 64])
+        monkeypatch.setattr(samebytes, "start", lambda tree: tree)
+        monkeypatch.setattr(samebytes, "finish",
+                            lambda tree, proc: (lines, next(events)))
+        assert samebytes.main(["base", "change"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[2] == f"{'a' * 64}  event order  base"
+        assert out[-1] == "first difference: event order differs"

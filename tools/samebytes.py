@@ -1,6 +1,8 @@
 """Same-bytes audit: run the audit cells in one or two source trees and print
-two sha256 digests over every `Metrics` field of every cell: one over the
-stock and collision cells, one over the eviction cells.
+three sha256 digests: two over every `Metrics` field of every cell, one over
+the stock and collision cells and one over the eviction cells, and a third
+over the time and sequence number of every event the cells' engines pop, in
+order, so that equal digests mean equal event order too.
 
     python3 tools/samebytes.py TREE [TREE2]
 
@@ -20,16 +22,20 @@ native that ignores such an eviction passes the first 156 cells but not
 these.
 
 Each tree runs in its own child process that imports ``meshnc`` from
-``TREE/src``. Given two trees, it also names the first cell whose metrics
-differ and the fields that differ there, and exits 1 if any cell does.
+``TREE/src``; only there is ``heapq.heappop`` wrapped to read event order.
+Given two trees, it also names the first cell whose metrics differ and the
+fields that differ there, or says that the event order differs, and exits 1
+if either does.
 Standard library only. One tree takes about 13 s on one core of a 2-vCPU host
 with Python 3.11, and two trees run side by side.
 """
 from __future__ import annotations
 
 import hashlib
+import heapq
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +109,21 @@ def cell_lines() -> list[str]:
     return lines
 
 
+def record_event_order(hasher) -> None:
+    """Feed `hasher` the (time, seq) of every item `heapq.heappop` returns,
+    packed as a double and a 64-bit integer. The engine is the one caller
+    of `heapq` in meshnc, so this reads the order its events are handled in.
+    It patches `heapq` for the rest of the process: call it in the child."""
+    pop, pack = heapq.heappop, struct.Struct("<dq").pack
+
+    def recorded(heap):
+        item = pop(heap)
+        hasher.update(pack(item[0], item[1]))
+        return item
+
+    heapq.heappop = recorded
+
+
 def start(tree: Path) -> subprocess.Popen:
     src = str(tree.resolve() / "src")
     env = dict(os.environ,
@@ -112,12 +133,14 @@ def start(tree: Path) -> subprocess.Popen:
                             env=env, stdout=subprocess.PIPE, text=True)
 
 
-def finish(tree: Path, proc: subprocess.Popen) -> list[str]:
+def finish(tree: Path, proc: subprocess.Popen) -> tuple[list[str], str]:
+    """The cell lines of one tree and its event-order digest."""
     out, _ = proc.communicate()
     if proc.returncode != 0:
         raise SystemExit(f"samebytes: the cells failed in {tree} "
                          f"with exit {proc.returncode}")
-    return out.splitlines()
+    *lines, last = out.splitlines()
+    return lines, last.removeprefix("events ")
 
 
 def first_difference(a: list[str], b: list[str]) -> str | None:
@@ -135,7 +158,10 @@ def first_difference(a: list[str], b: list[str]) -> str | None:
 
 def main(argv: list[str]) -> int:
     if argv == ["--cells"]:
+        events = hashlib.sha256()
+        record_event_order(events)
         print("\n".join(cell_lines()))
+        print(f"events {events.hexdigest()}")
         return 0
     if not 1 <= len(argv) <= 2 or any(a.startswith("-") for a in argv):
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
@@ -143,13 +169,17 @@ def main(argv: list[str]) -> int:
     trees = [Path(a) for a in argv]
     procs = [start(tree) for tree in trees]
     results = [finish(tree, proc) for tree, proc in zip(trees, procs)]
-    for tree, lines in zip(trees, results):
+    for tree, (lines, events) in zip(trees, results):
         for group in (lines[:FIRST_DIGEST_CELLS], lines[FIRST_DIGEST_CELLS:]):
             digest = hashlib.sha256(
                 ("\n".join(group) + "\n").encode()).hexdigest()
             print(f"{digest}  {len(group)} cells  {tree}")
+        print(f"{events}  event order  {tree}")
     if len(trees) == 2:
-        diff = first_difference(*results)
+        (a, events_a), (b, events_b) = results
+        diff = first_difference(a, b)
+        if diff is None and events_a != events_b:
+            diff = "event order differs"
         print("same bytes" if diff is None else f"first difference: {diff}")
         return int(diff is not None)
     return 0
