@@ -88,4 +88,8 @@ def sample_reception(frame: Frame, topo: Topology, params: ChannelParams,
         raise KeyError(f"unknown sender {sender}")
     p_ok = (1.0 - params.ber) ** frame.bits
     rand = rng.random
-    return tuple([m for m in heard_by if rand() < p_ok])
+    heard = []
+    for m in heard_by:
+        if rand() < p_ok:
+            heard.append(m)
+    return tuple(heard)

@@ -103,7 +103,10 @@ class NeighborKnowledge:
 
     def holds_all(self, neighbor: NodeId, pids: Iterable[PayloadId]) -> bool:
         entries = self._held[neighbor]
-        return all(pid in entries for pid in pids)
+        for pid in pids:
+            if pid not in entries:
+                return False
+        return True
 
     def prune(self, now: float, ttl: float) -> None:
         for entries in self._held.values():
@@ -143,11 +146,13 @@ def cope_select(head: NativePacket, candidates: Iterable[NativePacket],
         if not knowledge.holds_all(hop, ids):
             blocked.add(hop)
             continue
-        if not all(knowledge.knows(p.next_hop, cand.id) for p in selected):
-            continue
-        selected.append(cand)
-        ids.append(cand.id)
-        blocked.add(hop)
+        for p in selected:
+            if not knowledge.knows(p.next_hop, cand.id):
+                break
+        else:
+            selected.append(cand)
+            ids.append(cand.id)
+            blocked.add(hop)
     return selected
 
 

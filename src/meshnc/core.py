@@ -137,17 +137,17 @@ def encode(natives: Sequence[NativePacket], sender: NodeId) -> CodedPacket:
     """
     if len(natives) < 2:
         raise CodingError("coded packet needs at least two components")
-    hops = [p.next_hop for p in natives]
+    hops, components = [], []
+    for p in natives:
+        hops.append(p.next_hop)
+        components.append(
+            new_value(CodedComponent, (p.id, p.src, p.dst, p.next_hop)))
     if len(set(hops)) != len(hops):
         raise CodingError(f"duplicate next hop among coded components: {hops}")
     payload = natives[0].payload
     for p in natives[1:]:
         payload = xor_payloads(payload, p.payload)
-    components = tuple(
-        new_value(CodedComponent, (p.id, p.src, p.dst, p.next_hop))
-        for p in natives
-    )
-    return new_value(CodedPacket, (components, payload, sender))
+    return new_value(CodedPacket, (tuple(components), payload, sender))
 
 
 def decodable(
@@ -156,7 +156,10 @@ def decodable(
     target: CodedComponent,
 ) -> bool:
     """True iff every component except `target` is available in `pool`."""
-    return all(c.id in pool for c in coded.components if c.id != target.id)
+    for c in coded.components:
+        if c.id != target.id and c.id not in pool:
+            return False
+    return True
 
 
 def decode(

@@ -19,6 +19,13 @@ the events they want scheduled, `(at, event, body)` tuples that the engine
 pushes in the order given; a timer's body is the record it hands back to
 `on_timer`, and a wake-up (`E_WAKE`) only polls `ready` again. An ACK
 changes only the state of the nodes that hear it, so `on_ack` returns none.
+
+Per-event code, here and in the node, channel, coding and core modules, uses
+plain `for` loops, not comprehensions or `any`/`all` over generator
+expressions: on Python 3.11 each evaluation of those builds a function
+object and a frame (3.12 inlines comprehensions), about a tenth of a run's
+CPU. Each loop draws, stops and returns as the expression it replaced did;
+tests/test_plain_loops.py names the functions.
 """
 from __future__ import annotations
 
@@ -66,11 +73,14 @@ def mac_grant(contenders: list[int], now: float, rng: random.Random,
     Backoff is continuous, so ties only occur under rigged random streams.
     """
     rand = rng.random
-    draws = [rand() * cw for _ in contenders]
-    best = min(draws)
-    if draws.count(best) == 1:
-        return [contenders[draws.index(best)]], now + best * slot_time
-    winners = [c for c, d in zip(contenders, draws) if d == best]
+    # Not cw: a rigged stream's draw of exactly 1.0 must still win.
+    best = float("inf")
+    for c in contenders:
+        d = rand() * cw
+        if d < best:
+            best, winners = d, [c]
+        elif d == best:
+            winners.append(c)
     return winners, now + best * slot_time
 
 
@@ -240,7 +250,10 @@ class Simulation:
         if now < max(self.busy_until, self.lockout_until) - 1e-15:
             self._maybe_grant()
             return
-        contenders = [n for n, node in self._by_id if node.ready(now)]
+        contenders = []
+        for n, node in self._by_id:
+            if node.ready(now):
+                contenders.append(n)
         if not contenders:
             return
         p = self.params
@@ -248,7 +261,7 @@ class Simulation:
         m, nodes, windows = self.metrics, self.nodes, self._ack_window
         collided = len(winners) > 1
         others: tuple[int, ...] = ()
-        for w in winners:
+        for i, w in enumerate(winners):
             # Every winner was ready at now <= start, so each has an intent.
             intent = nodes[w].select_transmission(start)
             n = len(intent.natives)
@@ -258,7 +271,7 @@ class Simulation:
                 m.tx_coded += 1
             m.retx += intent.retx_count
             if collided:
-                others = tuple(x for x in winners if x != w)
+                others = (*winners[:i], *winners[i + 1:])
             self._schedule(end, E_FRAME_END, (w, intent), others)
             if end > self.busy_until:
                 self.busy_until = end
@@ -279,9 +292,10 @@ class Simulation:
         if others:
             # A receiver in range of any other simultaneous transmitter hears
             # only garbage; the colliding transmitters themselves hear nothing.
-            adj = self._adj
-            receivers = [r for r in receivers if r not in others
-                         and not any(r in adj[o] for o in others)]
+            jammed = set(others)
+            for o in others:
+                jammed |= self._adj[o]
+            receivers = sorted(set(receivers) - jammed)  # still ascending
         nodes = self.nodes
         for r in receivers:
             actions = nodes[r].on_data_frame(frame, now)
@@ -289,9 +303,11 @@ class Simulation:
                 self._apply(r, actions)
         self._flush_ack_backlog()
         # ready() only reads, and a grant already due makes the answer moot.
-        if self._grant_at is None and (
-                node.ready(now) or any(nodes[r].ready(now) for r in receivers)):
-            self._maybe_grant()
+        if self._grant_at is None:
+            for r in (w, *receivers):
+                if nodes[r].ready(now):
+                    self._maybe_grant()
+                    return
 
     def _transmit_ack(self, nid: int, ack: Ack) -> None:
         frame = self.nodes[nid].build_ack_frame(ack)
@@ -312,8 +328,11 @@ class Simulation:
         for r in receivers:
             nodes[r].on_ack(ack, report, now)
         self._flush_ack_backlog()
-        if self._grant_at is None and any(nodes[r].ready(now) for r in receivers):
-            self._maybe_grant()
+        if self._grant_at is None:
+            for r in receivers:
+                if nodes[r].ready(now):
+                    self._maybe_grant()
+                    return
 
 
 def run(scenario: Scenario, seed: int) -> Metrics:

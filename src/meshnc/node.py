@@ -278,9 +278,10 @@ class NodeState:
         `_ack_shows_progress`."""
         if pkt.dst == self.node_id and pkt.id in self.delivered:
             return False
-        senders = self._acked_by.get(pkt.id)
-        return not (senders and any(self._ack_shows_progress(s, pkt)
-                                    for s in senders))
+        for s in self._acked_by.get(pkt.id, ()):
+            if self._ack_shows_progress(s, pkt):
+                return False
+        return True
 
     # -------------------------------------------------------------- ingress
 
@@ -460,11 +461,10 @@ class NodeState:
         peeled = None
         if proto != PLAIN:
             if c.sender in self.hops:
-                self.knowledge.merge(
-                    c.sender,
-                    (*frame.reception_report,
-                     *(comp.id for comp in c.components)),
-                    now)
+                ids = [*frame.reception_report]
+                for comp in c.components:
+                    ids.append(comp.id)
+                self.knowledge.merge(c.sender, tuple(ids), now)
             peeled = self._harvest_components(c, now)
 
         for i, comp in enumerate(c.components):
@@ -650,10 +650,13 @@ class NodeState:
         q1_ok = bool(q1) and q1[0].eligible_at <= now + 1e-12
         if self.mixing_q and (self._serve_mix_next or not q1_ok):
             natives = self.mixing_q.popleft()
-            self._queued.difference_update(n.id for n in natives)
             self._serve_mix_next = False
-            stamped = tuple(self._stamp_for_tx(n) for n in natives)
-            frame = self._build_data_frame(encode(stamped, self.node_id))
+            stamped = []
+            for n in natives:
+                self._queued.discard(n.id)
+                stamped.append(self._stamp_for_tx(n))
+            frame = self._build_data_frame(encode(tuple(stamped),
+                                                  self.node_id))
             # Unstamped: their pending records keep the upstream prev_hop.
             return new_value(TxIntent, (frame, natives, 0))
         if not q1_ok:
@@ -680,15 +683,18 @@ class NodeState:
             if rider is not None:
                 riders = [rider]
 
+        self._queued.discard(head.id)
+        native = self._stamp_for_tx(head)
         if not riders:
-            self._queued.discard(head.id)
-            native = self._stamp_for_tx(head)
             return new_value(TxIntent, (self._build_data_frame(native),
                                         (native,), int(head_entry.retx)))
-        retx_count = int(head_entry.retx) + sum(int(e.retx) for e in riders)
-        natives = tuple(self._stamp_for_tx(p)
-                        for p in [head] + [e.pkt for e in riders])
-        self._queued.difference_update(n.id for n in natives)
+        retx_count = int(head_entry.retx)
+        stamped = [native]
+        for e in riders:
+            retx_count += e.retx
+            stamped.append(self._stamp_for_tx(e.pkt))
+            self._queued.discard(e.pkt.id)
+        natives = tuple(stamped)
         frame = self._build_data_frame(encode(natives, self.node_id))
         return new_value(TxIntent, (frame, natives, retx_count))
 

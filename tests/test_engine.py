@@ -92,9 +92,11 @@ class TestMacGrantOracle:
     def test_matches_the_reference_comprehension(self, data, n, cw, now,
                                                  slot_time, coarse):
         # Coarse draws come from a few values, so ties among many
-        # contenders are common; fine ones rarely tie.
-        values = st.sampled_from([0.0, 0.125, 0.5, 0.875]) if coarse else \
-            st.floats(0.0, 1.0, exclude_max=True)
+        # contenders are common; fine ones rarely tie. Both include 1.0,
+        # which a stream rounded to eighths (tools/samebytes.py's
+        # CoarseRandom) returns: a draw of exactly cw slots.
+        values = st.sampled_from([0.0, 0.125, 0.5, 0.875, 1.0]) if coarse \
+            else st.floats(0.0, 1.0)
         draws = data.draw(st.lists(values, min_size=n, max_size=n))
         contenders = data.draw(st.lists(st.integers(0, 99), min_size=n,
                                         max_size=n, unique=True))
@@ -102,6 +104,20 @@ class TestMacGrantOracle:
         got = mac_grant(contenders, now, rng, slot_time, cw)
         assert got == reference_grant(contenders, now, ref_rng, slot_time, cw)
         assert rng.values == [0.3]  # one draw per contender, no more
+
+    @pytest.mark.parametrize("draws, winners", [
+        ([1.0], [5]),
+        ([1.0, 0.5, 0.25], [7]),
+        ([1.0, 0.25, 0.25], [6, 7]),
+        ([1.0, 1.0, 1.0], [5, 6, 7]),
+    ])
+    def test_a_first_draw_of_cw_slots(self, draws, winners):
+        # The first draw is the largest, at the top of the window.
+        contenders = [5, 6, 7][:len(draws)]
+        got = mac_grant(contenders, 2.0, ScriptedRandom(draws), 1e-3, 32)
+        assert got == (winners, 2.0 + min(draws) * 32 * 1e-3)
+        assert got == reference_grant(contenders, 2.0,
+                                      ScriptedRandom(draws), 1e-3, 32)
 
 
 class TestCollision:
