@@ -238,14 +238,9 @@ class Simulation:
         if t_next < fl.duration:
             self._schedule(t_next, E_TRAFFIC, flow_index, k + 1)
 
-    def _flush_ack_backlog(self) -> None:
-        if self._ack_backlog and self.busy_until <= self.now + 1e-15:
-            nid, ack = self._ack_backlog.popleft()
-            self._transmit_ack(nid, ack)
-
     def _on_grant(self) -> None:
         self._grant_at = None
-        self._flush_ack_backlog()
+        self._after_air(())  # the scan below polls every node
         now = self.now
         if now < max(self.busy_until, self.lockout_until) - 1e-15:
             self._maybe_grant()
@@ -301,13 +296,7 @@ class Simulation:
             actions = nodes[r].on_data_frame(frame, now)
             if actions:
                 self._apply(r, actions)
-        self._flush_ack_backlog()
-        # ready() only reads, and a grant already due makes the answer moot.
-        if self._grant_at is None:
-            for r in (w, *receivers):
-                if nodes[r].ready(now):
-                    self._maybe_grant()
-                    return
+        self._after_air((w, *receivers))
 
     def _transmit_ack(self, nid: int, ack: Ack) -> None:
         frame = self.nodes[nid].build_ack_frame(ack)
@@ -327,9 +316,18 @@ class Simulation:
         now, nodes = self.now, self.nodes
         for r in receivers:
             nodes[r].on_ack(ack, report, now)
-        self._flush_ack_backlog()
+        self._after_air(receivers)
+
+    def _after_air(self, touched) -> None:
+        """When the air may be free: send a backlogged ACK, then grant the
+        medium if a node in `touched` is ready."""
+        if self._ack_backlog and self.busy_until <= self.now + 1e-15:
+            nid, ack = self._ack_backlog.popleft()
+            self._transmit_ack(nid, ack)
+        # ready() only reads, and a grant already due makes the answer moot.
         if self._grant_at is None:
-            for r in receivers:
+            now, nodes = self.now, self.nodes
+            for r in touched:
                 if nodes[r].ready(now):
                     self._maybe_grant()
                     return

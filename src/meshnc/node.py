@@ -11,6 +11,9 @@ updates state, so on_ack returns nothing. The engine owns the clock and the
 medium and asks `ready` whether a node contends for it (`select_transmission`
 repeats its q1-head test); the node owns queues, the decode pool,
 pending-retransmission records, helper timers and duplicate suppression.
+`_data_frame` builds every data frame it sends, a mix from the mixing queue
+or the q1 head with its riders; only a mix's pending records keep their
+natives unstamped, with the upstream `prev_hop`.
 
 Frame reception walks the receiver-side flowchart: the intended forwarder of
 a native or decodable coded packet admits it, ACKs and progresses it; an
@@ -300,14 +303,14 @@ class NodeState:
         return self._on_coded(body, frame, now)
 
     def _harvest_components(self, c: CodedPacket, now: float,
-                            ) -> Optional[NativePacket]:
+                            ) -> dict[PayloadId, NativePacket]:
         """Peel every decodable component into the pool, so that overheard
-        coded traffic feeds downstream decoding. Returns the last native
-        peeled, or None if none was or if an add evicted a pooled payload,
-        which may be one that a peel read."""
+        coded traffic feeds downstream decoding. Returns the natives
+        peeled, by id, or none if an add evicted a pooled payload, which
+        may be one that a peel read."""
         pool = self.pool
         size = len(pool)
-        peeled = None
+        peeled = {}
         for comp in c.components:
             if comp.id in pool:
                 continue
@@ -315,9 +318,9 @@ class NodeState:
             if native is not None:
                 self._pool_add(native.id, native.payload, now)
                 self._note_received(native.id)
-                peeled = native
+                peeled[native.id] = native
                 size += 1  # each peel adds one entry; an eviction drops one
-        return peeled if len(pool) == size else None
+        return peeled if len(pool) == size else {}
 
     def _cede_custody(self, pid: PayloadId, addressee: NodeId) -> None:
         """Another node was heard transmitting this payload to a third node:
@@ -337,12 +340,11 @@ class NodeState:
         if entry is None:
             return
         fire = now + helper_hold_time(entry.index, self.params.timers)
-        if fire > entry.fire_at:
-            later = self.helper_timers[pid] = new_value(HelperEntry, (
-                entry.pkt, entry.frame_sender, entry.onward, fire, entry.index))
+        if fire > entry.fire_at:  # `_arm_helper` re-arms it to fire then
+            later = self._arm_helper(entry.pkt, entry.frame_sender,
+                                     entry.onward, now, actions)
             if self.q2.get(pid) is entry:  # parked: one entry in both maps
                 self.q2[pid] = later
-            actions.append((fire, E_TIMER, later))
 
     def _accept(self, pkt: NativePacket, now: float, ack_delay: float,
                 actions: list[tuple]) -> None:
@@ -458,7 +460,7 @@ class NodeState:
         for comp in c.components:
             self._cede_custody(comp.id, comp.intended_next_hop)
             self._refresh_helper(comp.id, now, actions)
-        peeled = None
+        peeled = {}
         if proto != PLAIN:
             if c.sender in self.hops:
                 ids = [*frame.reception_report]
@@ -469,8 +471,7 @@ class NodeState:
 
         for i, comp in enumerate(c.components):
             if comp.intended_next_hop == self.node_id:
-                native = (peeled if peeled and peeled.id == comp.id
-                          else decode(c, self.pool, comp))
+                native = peeled.get(comp.id) or decode(c, self.pool, comp)
                 if native is None:
                     self.metrics.drops["undecodable"] += 1
                     return actions  # silent; the sender discovers via timeout
@@ -487,8 +488,7 @@ class NodeState:
                                 self.pool)
         native = None
         if comp is not None and not self._in_custody(comp.id):
-            native = (peeled if peeled and peeled.id == comp.id
-                      else decode(c, self.pool, comp))
+            native = peeled.get(comp.id) or decode(c, self.pool, comp)
         if native is None or not self.admit_packet(native):
             self.metrics.drops["non_intended_coded"] += 1
             return actions
@@ -621,8 +621,7 @@ class NodeState:
             eligible = now + self.params.pairing_hold
             self.q1.append(new_value(QueueEntry, (forwarded, eligible, False)))
             actions.append((eligible, E_WAKE, None))
-        if not parked:  # a parked native only moved from q2
-            self._queued.add(pid)
+        self._queued.add(pid)  # already there if it was parked
         return actions
 
     # ------------------------------------------------------------- egress
@@ -633,17 +632,24 @@ class NodeState:
         q1 = self.q1
         return bool(q1) and q1[0].eligible_at <= now + 1e-12
 
-    def _stamp_for_tx(self, pkt: NativePacket) -> NativePacket:
-        second = None
-        if self.protocol == BEND:
-            second = (pkt.dst if pkt.next_hop == pkt.dst
-                      else next_hop(self.tables, pkt.next_hop, pkt.dst))
-        return native_packet(pkt.id, pkt.src, pkt.dst, self.node_id,
-                             pkt.next_hop, pkt.payload, second)
-
-    def _build_data_frame(self, body) -> Frame:
+    def _data_frame(self, pkts) -> tuple[Frame, tuple[NativePacket, ...]]:
+        """Stamp `pkts` as sent by this node, retire their `_queued` ids and
+        build the frame that carries them: a lone native as it is, several
+        as one coded packet. Returns the frame and the stamped natives."""
+        me, bend = self.node_id, self.protocol == BEND
+        stamped = []
+        for p in pkts:
+            self._queued.discard(p.id)
+            second = None
+            if bend:
+                second = (p.dst if p.next_hop == p.dst
+                          else next_hop(self.tables, p.next_hop, p.dst))
+            stamped.append(native_packet(p.id, p.src, p.dst, me, p.next_hop,
+                                         p.payload, second))
+        natives = tuple(stamped)
+        body = natives[0] if len(natives) == 1 else encode(natives, me)
         return new_value(Frame, (body, tuple(self.recent_rx),
-                                 data_frame_bits(len(body.payload))))
+                                 data_frame_bits(len(body.payload)))), natives
 
     def select_transmission(self, now: float) -> Optional[TxIntent]:
         q1 = self.q1
@@ -651,23 +657,16 @@ class NodeState:
         if self.mixing_q and (self._serve_mix_next or not q1_ok):
             natives = self.mixing_q.popleft()
             self._serve_mix_next = False
-            stamped = []
-            for n in natives:
-                self._queued.discard(n.id)
-                stamped.append(self._stamp_for_tx(n))
-            frame = self._build_data_frame(encode(tuple(stamped),
-                                                  self.node_id))
             # Unstamped: their pending records keep the upstream prev_hop.
-            return new_value(TxIntent, (frame, natives, 0))
+            return new_value(TxIntent, (self._data_frame(natives)[0],
+                                        natives, 0))
         if not q1_ok:
             return None
         self._serve_mix_next = True
 
-        head_entry = q1.popleft()
-        head = head_entry.pkt
+        head, _, retx = q1.popleft()
+        pkts, retx_count = [head], int(retx)
         proto = self.protocol
-
-        riders: list[QueueEntry] = []
         if proto == COPE:
             chosen = cope_select(head, (e.pkt for e in q1), self.knowledge,
                                  self.params.max_cope_components)
@@ -676,26 +675,15 @@ class NodeState:
             for p in chosen[1:]:
                 while q1[i].pkt is not p:
                     i += 1
-                riders.append(q1[i])
+                retx_count += q1[i].retx
+                pkts.append(p)
                 del q1[i]
         elif proto in HELPING:
             rider = self._take_partner(head, heads_only=False)
             if rider is not None:
-                riders = [rider]
-
-        self._queued.discard(head.id)
-        native = self._stamp_for_tx(head)
-        if not riders:
-            return new_value(TxIntent, (self._build_data_frame(native),
-                                        (native,), int(head_entry.retx)))
-        retx_count = int(head_entry.retx)
-        stamped = [native]
-        for e in riders:
-            retx_count += e.retx
-            stamped.append(self._stamp_for_tx(e.pkt))
-            self._queued.discard(e.pkt.id)
-        natives = tuple(stamped)
-        frame = self._build_data_frame(encode(natives, self.node_id))
+                retx_count += rider.retx
+                pkts.append(rider.pkt)
+        frame, natives = self._data_frame(pkts)
         return new_value(TxIntent, (frame, natives, retx_count))
 
     def _take_partner(self, pkt: NativePacket,

@@ -3,7 +3,7 @@ import copy
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import meshnc.core as core_mod
@@ -21,9 +21,12 @@ from meshnc import (
     default_flows,
     mac_grant,
     make_payload,
+    parse_config,
     run,
     throughput,
 )
+
+from mesh_strategies import mesh_configs
 
 
 class RiggedRandom(random.Random):
@@ -286,6 +289,10 @@ class TestConservation:
             f"first lost: {sorted(lost)[:5]}")
 
 
+# A fixed example budget: about 1.3 s on a 2-vCPU host.
+BER0_EXAMPLES = 200
+
+
 class TestInvariants:
     def test_plain_zero_ber_transmission_identity(self):
         # Every datagram crosses its full path exactly once: transmissions
@@ -299,6 +306,25 @@ class TestInvariants:
         assert sum(m.delivered_count.values()) == datagrams
         assert m.tx_data == datagrams * 4
         assert m.retx == 0
+
+    @settings(max_examples=BER0_EXAMPLES, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=mesh_configs())
+    def test_plain_at_zero_ber_below_saturation_loses_nothing(self, text):
+        # A differential oracle on random meshes: with no bit errors, one
+        # frame on the air at a time and a light load, plain forwarding
+        # drops, resends and duplicates nothing, and every generated
+        # payload is delivered or still held at the horizon.
+        cfg = parse_config(text)
+        flows = tuple(Flow(f.src, f.dst, 0.5, f.duration) for f in cfg.flows)
+        sim = Simulation(Scenario("ber0", cfg.topology(), Protocol.PLAIN,
+                                  0.0, flows), cfg.seeds[0])
+        m = sim.run()
+        assert not m.drops
+        assert m.retx == 0 and m.duplicate_deliveries == 0
+        generated = sum(m.generated_count.values())
+        assert generated == (sum(m.delivered_count.values())
+                             + len(sim.held_payloads()))
 
     def test_coded_protocols_save_airtime_at_zero_ber(self):
         topo = build_topology("eight_node")

@@ -434,6 +434,21 @@ class TestTimerHandling:
         assert [n.id for n in node.mixing_q[0]] == [fwd.id, head.id]
         assert {fwd.id, head.id} <= node._queued
 
+    def test_a_helper_mix_hands_over_its_queued_natives_unstamped(self, ctx):
+        # The frame carries stamped copies, but the intent, and so the
+        # pending records, keep the very natives queued in the mix, with
+        # their upstream prev_hops: fwd as decoded from node 1's frame, the
+        # head as enqueued from node 3. Stamping them changes the output.
+        node, fwd, head, now = self.fire_helper_into_mix(ctx)
+        queued = node.mixing_q[0]
+        intent = node.select_transmission(now)
+        assert len(intent.natives) == len(queued) == 2
+        for sent, kept in zip(intent.natives, queued):
+            assert sent is kept
+        assert intent.natives[1] is head
+        assert [n.prev_hop for n in intent.natives] == [1, 3]
+        assert intent.frame.body.sender == 6
+
     def test_queued_helper_mix_is_encoded_when_sent(self, ctx, monkeypatch):
         # The mix waits in the mixing queue as natives, and goes out as one
         # coded frame, built when it is sent. Its two payloads then await
@@ -677,6 +692,20 @@ class TestSelectTransmission:
         assert isinstance(body, CodedPacket)
         assert {c.intended_next_hop for c in body.components} == {0, 2}
         assert body.sender == 1
+
+    def test_q1_head_intents_carry_natives_stamped_by_the_sender(self, ctx):
+        node = make_node(ctx, 1, Protocol.BEND)
+        fwd, rev = example_pair()
+        node.enqueue_source(fwd, 0.0)
+        node.enqueue_source(rev, 0.0)
+        seed_pair_evidence(node, fwd, rev)
+        intent = node.select_transmission(0.0)
+        assert [n.id for n in intent.natives] == [fwd.id, rev.id]
+        assert [n.prev_hop for n in intent.natives] == [1, 1]
+        assert intent.natives[0] is not fwd and intent.natives[1] is not rev
+        node.enqueue_source(fwd, 1.0)
+        (lone,) = node.select_transmission(1.0).natives
+        assert lone.prev_hop == 1 and lone is not fwd
 
     def test_empty_queues_yield_none(self, ctx):
         node = make_node(ctx, 1, Protocol.BEND)

@@ -26,9 +26,13 @@ PER_EVENT = {
     "engine.Simulation._on_grant": engine_mod.Simulation._on_grant,
     "engine.Simulation._on_frame_end": engine_mod.Simulation._on_frame_end,
     "engine.Simulation._on_ack_end": engine_mod.Simulation._on_ack_end,
+    "engine.Simulation._after_air": engine_mod.Simulation._after_air,
     "channel.sample_reception": channel_mod.sample_reception,
     "node.NodeState.admit_packet": node_mod.NodeState.admit_packet,
     "node.NodeState._on_coded": node_mod.NodeState._on_coded,
+    "node.NodeState._harvest_components":
+        node_mod.NodeState._harvest_components,
+    "node.NodeState._data_frame": node_mod.NodeState._data_frame,
     "node.NodeState.select_transmission":
         node_mod.NodeState.select_transmission,
     "coding.NeighborKnowledge.holds_all":

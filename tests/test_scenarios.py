@@ -363,10 +363,40 @@ MUTANTS = [(f"{name}-{mid}", text, line)
            for mid, text, line in mutations(base)]
 
 
+def line_drops(text):
+    """(id, config) for each key line of `text`, with that line left out."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        key, eq, _ = line.split("#", 1)[0].partition("=")
+        if eq:
+            yield (f"{i + 1}-{key.strip()}-dropped",
+                   "\n".join(lines[:i] + lines[i + 1:]) + "\n")
+
+
+DROPS = [(f"{name}-{mid}", text)
+         for name, base in (("readme", readme_config()),
+                            ("explicit", EXPLICIT))
+         for mid, text in line_drops(base)]
+# The two faults that are something the file lacks, so name no line.
+LACKING = ("config needs a 'topology' or explicit 'node' lines",
+           "explicit topologies need explicit 'flow' lines")
+
+
+def drop_outcome(text):
+    """None if `text` parses, else the ConfigError it raises."""
+    try:
+        parse_config(text)
+    except ConfigError as exc:
+        return exc
+    return None
+
+
 class TestMutatedConfigs:
     """Each line of two valid configs, broken one way at a time: the error
     is always a ConfigError naming the broken line, and nothing else
-    escapes `parse_config`."""
+    escapes `parse_config`. Each key line left out: the rest parses, or
+    its ConfigError names one of its lines, or the file lacks a topology
+    or flows."""
 
     @pytest.mark.parametrize("base", [readme_config(), EXPLICIT],
                              ids=["readme", "explicit"])
@@ -390,6 +420,28 @@ class TestMutatedConfigs:
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert err.value.line_no == line, str(err.value)
+
+    @pytest.mark.parametrize("text", [d[1] for d in DROPS],
+                             ids=[d[0] for d in DROPS])
+    def test_a_dropped_line_parses_or_names_a_line(self, text):
+        # A whole key line left out: the rest is valid, or the error names
+        # a line the mutant has, such as a flow line whose node is gone.
+        err = drop_outcome(text)
+        if err is not None and err.line_no is None:
+            assert str(err) in LACKING
+        elif err is not None:
+            assert 1 <= err.line_no <= len(text.splitlines()), str(err)
+
+    def test_which_dropped_lines_are_errors(self):
+        errors = {}
+        for mid, text in DROPS:
+            err = drop_outcome(text)
+            if err is not None:
+                errors[mid] = err.line_no
+        assert len(DROPS) == 19
+        assert errors == {"readme-2-topology-dropped": None,
+                          "explicit-2-node-dropped": 9,
+                          "explicit-4-node-dropped": 9}
 
 
 class TestReadmeConfigKeys:

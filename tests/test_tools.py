@@ -144,3 +144,26 @@ class TestSameBytes:
         out = capsys.readouterr().out.splitlines()
         assert out[2] == f"{'a' * 64}  event order  base"
         assert out[-1] == "first difference: event order differs"
+
+    def test_names_the_first_cell_whose_event_order_differs(self, monkeypatch,
+                                                            capsys):
+        # The child ends each cell line with that cell's event-order digest.
+        # The metric digests leave it out, so they read as without it, and
+        # a difference in it alone names its cell.
+        import hashlib
+
+        field = samebytes.EVENT_FIELD
+        base = [f"{line}{field}{'1' * 64}" for line in self.A]
+        change = [base[0], f"{self.A[1]}{field}{'2' * 64}"]
+        results = iter([(base, "a" * 64), (change, "b" * 64)])
+        monkeypatch.setattr(samebytes, "start", lambda tree: tree)
+        monkeypatch.setattr(samebytes, "finish",
+                            lambda tree, proc: next(results))
+        assert samebytes.main(["base", "change"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        metrics = hashlib.sha256(
+            ("\n".join(self.A) + "\n").encode()).hexdigest()
+        assert out[0] == f"{metrics}  2 cells  base"
+        assert out[3] == f"{metrics}  2 cells  change"
+        assert out[-1] == ("first difference: eight_node plain 0.0001 2: "
+                           "event_order differ")
