@@ -6,7 +6,7 @@ opportunistic coding with native-packet helpers, and flexible opportunistic
 coding where non-intended receivers may also decode and forward coded
 frames on the intended forwarder's behalf.
 """
-from .channel import ChannelParams, Topology, frame_loss_probability, neighbors, sample_reception
+from .channel import ChannelParams, Topology, neighbors, sample_reception
 from .coding import (
     NeighborKnowledge,
     TimerParams,
@@ -54,7 +54,7 @@ __all__ = [
     "SimParams", "Simulation", "TimerParams", "Topology", "bend_mixable",
     "build_forwarding_tables", "build_topology", "cope_select", "decodable",
     "decode", "default_flows", "eligibility_failure", "encode",
-    "flexonc_eligible", "frame_loss_probability", "gain_table", "grid_id",
+    "flexonc_eligible", "gain_table", "grid_id",
     "helper_hold_time", "mac_grant", "make_payload", "neighbor_next_hop",
     "neighbors", "next_hop", "parse_config", "priority_index",
     "priority_list", "run", "run_sweep", "sample_reception",

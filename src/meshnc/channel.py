@@ -1,4 +1,7 @@
-"""Geometry, neighbor derivation and BER-driven broadcast reception."""
+"""Geometry, neighbor derivation and BER-driven broadcast reception.
+
+`sample_reception` is the one statement of the frame-loss law: a frame of
+`bits` reaches each neighbor intact with probability (1 - ber)^bits."""
 from __future__ import annotations
 
 import math
@@ -65,13 +68,6 @@ def neighbors(topo: Topology, n: NodeId) -> frozenset[NodeId]:
     if n not in topo:
         raise KeyError(f"unknown node {n}")
     return topo._adj[n]
-
-
-def frame_loss_probability(ber: float, bits: int) -> float:
-    """Probability that at least one of `bits` independent bits is corrupted."""
-    if bits < 1:
-        raise ValueError("frame must contain at least one bit")
-    return 1.0 - (1.0 - ber) ** bits
 
 
 def sample_reception(frame: Frame, topo: Topology, params: ChannelParams,

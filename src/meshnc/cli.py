@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.seeds[0]
-    os.makedirs(args.out_dir, exist_ok=True)
     rows = run_cell((cfg, Cell(cfg.protocols[0], cfg.bers[0], seed)))
     path = os.path.join(args.out_dir, "runs.csv")
     write_csv(rows, RUNS_HEADER, path)
@@ -73,7 +72,6 @@ def _cmd_sweep(args) -> int:
             print(f"[{done}/{total}] {cell.protocol.name.lower()} "
                   f"ber={cell.ber!r} seed={cell.seed}", file=sys.stderr)
     rows = run_sweep(cfg, jobs=max(1, args.jobs), progress=progress)
-    os.makedirs(args.out_dir, exist_ok=True)
     runs_path = os.path.join(args.out_dir, "runs.csv")
     write_csv(rows, RUNS_HEADER, runs_path)
     gains_path = _write_gains(runs_path, args.out_dir)
@@ -109,11 +107,10 @@ def _cmd_gains(args) -> int:
 
 def _cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    flows = cfg.resolved_flows()
     print(f"OK: {cfg.name}: topology="
           f"{cfg.topology_kind or f'{len(cfg.explicit_nodes)} explicit nodes'} "
           f"protocols={[p.name.lower() for p in cfg.protocols]} "
-          f"bers={list(cfg.bers)} seeds={list(cfg.seeds)} flows={len(flows)}")
+          f"bers={list(cfg.bers)} seeds={list(cfg.seeds)} flows={len(cfg.flows)}")
     return 0
 
 
@@ -121,6 +118,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "out_dir"):  # every command that writes files
+            os.makedirs(args.out_dir, exist_ok=True)
         return args.handler(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,8 @@ and `seed` are other spellings of `protocols`, `bers` and `seeds`. `range`
 applies to `node` lines only. Unknown or repeated keys, malformed values, a
 value repeated in `protocols`, `bers` or `seeds` and unroutable flows are
 rejected with the offending line number; a missing topology or missing flow
-lines are rejected with no line number.
+lines are rejected with no line number. A stock topology given no flow
+lines runs its own stock flows.
 
 Example::
 
@@ -51,8 +52,9 @@ class ConfigError(ValueError):
 
 
 class ScenarioConfig:
-    """A sweep: its axes, flows and knobs, and the one `Topology` that the
-    flow check and every cell share, built on first use."""
+    """A sweep: its axes, flows (a stock topology's own when none are
+    given) and knobs, and the one `Topology` that the flow check and every
+    cell share, built on first use."""
 
     def __init__(self, name: str = "custom", topology_kind: str | None = None,
                  explicit_nodes: dict[int, tuple[float, float]] | None = None,
@@ -69,7 +71,9 @@ class ScenarioConfig:
         self.protocols = protocols
         self.bers = bers
         self.seeds = seeds
-        self.flows = flows
+        if not flows and topology_kind is None:
+            raise ConfigError(None, "explicit topologies need explicit 'flow' lines")
+        self.flows = flows or tuple(default_flows(topology_kind))
         self.params = params
         self._topology: Topology | None = None
 
@@ -81,20 +85,13 @@ class ScenarioConfig:
                 else build_topology(self.topology_kind or "eight_node"))
         return self._topology
 
-    def resolved_flows(self) -> tuple[Flow, ...]:
-        if self.flows:
-            return self.flows
-        if self.topology_kind is None:
-            raise ConfigError(None, "explicit topologies need explicit 'flow' lines")
-        return tuple(default_flows(self.topology_kind))
-
     def scenario(self, protocol: Protocol, ber: float) -> Scenario:
         return Scenario(
             name=self.name,
             topology=self.topology(),
             protocol=protocol,
             ber=ber,
-            flows=self.resolved_flows(),
+            flows=self.flows,
             params=self.params,
         )
 
@@ -218,11 +215,10 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
         params=SimParams(timers=TimerParams(**timers), **knobs))
     # Reject what `check_flows` rejects, as a ConfigError at the flow's line.
     # The tables built here are the ones every cell of the sweep reads.
-    resolved = cfg.resolved_flows()
     topo = cfg.topology()
-    tables = shared_tables(topo, (fl.dst for fl in resolved),
+    tables = shared_tables(topo, (fl.dst for fl in cfg.flows),
                            build_forwarding_tables)
-    for fl, line_no in zip(resolved, list(flows) or [None] * len(resolved)):
+    for fl, line_no in zip(cfg.flows, list(flows) or [None] * len(cfg.flows)):
         try:
             check_flows(topo, tables, (fl,))
         except ValueError as exc:

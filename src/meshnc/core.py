@@ -26,6 +26,7 @@ NodeId = int
 
 DATA_HEADER_BYTES = 40
 ACK_FRAME_BYTES = 14
+ACK_FRAME_BITS = ACK_FRAME_BYTES * 8
 REPORT_LEN = 8
 
 
@@ -114,10 +115,6 @@ class Frame(NamedTuple):
 
 def data_frame_bits(payload_len: int) -> int:
     return DATA_HEADER_BYTES * 8 + 8 * payload_len
-
-
-def ack_frame_bits() -> int:
-    return ACK_FRAME_BYTES * 8
 
 
 def xor_payloads(a: bytes, b: bytes) -> bytes:

@@ -35,7 +35,7 @@ from collections import deque
 from typing import Optional
 
 from .channel import ChannelParams, sample_reception
-from .core import (Ack, Frame, PayloadId, ack_frame_bits, native_packet,
+from .core import (ACK_FRAME_BITS, Ack, Frame, PayloadId, native_packet,
                    new_value)
 from .node import (E_ACK_TX, E_TIMER, E_WAKE, Metrics, NodeState, TxIntent,
                    most_components)
@@ -109,7 +109,6 @@ class Simulation:
             build_forwarding_tables)
         adj = self.topo.adjacency()
         self.nbrs = adj.__getitem__
-        self._adj = adj
         self.metrics = Metrics()
         size = self.params.payload_size
         check = lambda pid: make_payload(pid, size)  # noqa: E731
@@ -126,7 +125,7 @@ class Simulation:
         # count. The trailing turnaround keeps the next data grant strictly
         # after the last in-window ACK has been processed by its receivers.
         p = self.params
-        ack_air = ack_frame_bits() / p.data_rate
+        ack_air = ACK_FRAME_BITS / p.data_rate
         self._ack_window = (None, *(
             2 * p.turnaround + (n - 1) * p.ack_stagger + ack_air
             for n in range(1, most_components(
@@ -289,7 +288,7 @@ class Simulation:
             # only garbage; the colliding transmitters themselves hear nothing.
             jammed = set(others)
             for o in others:
-                jammed |= self._adj[o]
+                jammed |= self.nbrs(o)
             receivers = sorted(set(receivers) - jammed)  # still ascending
         nodes = self.nodes
         for r in receivers:

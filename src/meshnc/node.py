@@ -38,6 +38,7 @@ from .coding import (
     sender_timeout,
 )
 from .core import (
+    ACK_FRAME_BITS,
     Ack,
     CodedPacket,
     Frame,
@@ -46,7 +47,6 @@ from .core import (
     NodeId,
     PayloadId,
     Protocol,
-    ack_frame_bits,
     data_frame_bits,
     decode,
     encode,
@@ -214,7 +214,7 @@ class NodeState:
         return ack
 
     def build_ack_frame(self, ack: Ack) -> Frame:
-        return new_value(Frame, (ack, tuple(self.recent_rx), ack_frame_bits()))
+        return new_value(Frame, (ack, tuple(self.recent_rx), ACK_FRAME_BITS))
 
     def _in_custody(self, pid: PayloadId) -> bool:
         return (pid in self._queued or pid in self.pending
@@ -480,13 +480,10 @@ class NodeState:
                 self._accept(native, now, i * self.params.ack_stagger, actions)
                 return actions
 
-        if proto != FLEXONC:
-            self.metrics.drops["non_intended_coded"] += 1
-            return actions
-
-        comp = flexonc_eligible(self.node_id, c, self.tables, self.nbrs,
-                                self.pool)
-        native = None
+        comp = native = None
+        if proto == FLEXONC:
+            comp = flexonc_eligible(self.node_id, c, self.tables, self.nbrs,
+                                    self.pool)
         if comp is not None and not self._in_custody(comp.id):
             native = peeled.get(comp.id) or decode(c, self.pool, comp)
         if native is None or not self.admit_packet(native):

@@ -2,9 +2,10 @@
 
 runs.csv has one row per (protocol, ber, seed, flow) plus a flow="total"
 aggregate row; gains.csv compares the flexible-forwarding protocol against
-each baseline from per-cell mean aggregate throughput. Gains are always
-recomputed from the written runs.csv text, so regenerating them from the
-file reproduces the gain table byte for byte.
+each of bend, cope and plain that the rows hold, from per-cell mean
+aggregate throughput. Gains are always recomputed from the written runs.csv
+text, so regenerating them from the file reproduces the gain table byte for
+byte.
 """
 from __future__ import annotations
 
@@ -146,16 +147,14 @@ def cell_stats(rows: list[dict]) -> list[dict]:
     return out
 
 
-def gain_table(rows: list[dict], baselines: tuple[str, ...] | None = None,
-               ) -> list[dict]:
+def gain_table(rows: list[dict]) -> list[dict]:
     """Percentage throughput gain of flexonc over each baseline per BER;
-    the baselines default to those of bend, cope and plain that `rows`
-    hold. Empty when `rows` hold no flexonc row or no baseline row."""
+    the baselines are those of bend, cope and plain that `rows` hold.
+    Empty when `rows` hold no flexonc row or no baseline row."""
     means = {(s["scenario"], s["protocol"], s["ber"]): s["mean_bps"]
              for s in cell_stats(rows)}
-    if baselines is None:
-        present = {p for _, p, _ in means}
-        baselines = tuple(p for p in ("bend", "cope", "plain") if p in present)
+    present = {p for _, p, _ in means}
+    baselines = tuple(p for p in ("bend", "cope", "plain") if p in present)
     flexonc_cells = sorted(((s, b) for s, p, b in means if p == "flexonc"),
                            key=lambda cell: (cell[0], float(cell[1])))
     out = []

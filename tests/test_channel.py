@@ -1,7 +1,8 @@
 """Geometry, frame-loss model and reception sampling."""
 import math
 import random
-from decimal import Decimal, getcontext
+import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from meshnc import (
     PayloadId,
     Topology,
     build_topology,
-    frame_loss_probability,
     neighbors,
     sample_reception,
 )
@@ -68,28 +68,58 @@ class TestNeighbors:
                 assert n in neighbors(topo, m)
 
 
+class ScriptedRandom:
+    """A random stream that hands out the given draws, in order."""
+
+    def __init__(self, draws):
+        self.random = iter(draws).__next__
+
+
+def received(ber, bits, draw):
+    """Whether the one neighbour of a two-node topology receives a frame of
+    `bits` at `ber`, given the channel's one draw for it."""
+    topo = Topology({0: (0.0, 0.0), 1: (1.0, 0.0)})
+    got = sample_reception(dummy_frame(0, bits), topo, ChannelParams(ber),
+                           ScriptedRandom([draw]))
+    return got == (1,)
+
+
+def decimal_success(ber, bits):
+    """(1 - ber)^bits to 40 digits: the chance that every bit survives."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return (Decimal(1) - Decimal(ber)) ** bits
+
+
 class TestFrameLossProbability:
-    def test_zero_ber(self):
-        assert frame_loss_probability(0.0, DATA_BITS) == 0.0
+    """The loss law as the channel applies it: `sample_reception` receives
+    on a draw just below the independent (1 - ber)^bits and loses on one
+    just above it."""
+
+    def assert_threshold(self, ber, bits, q):
+        if float(q) == 0.0:
+            assert not received(ber, bits, 0.0)
+            return
+        if q < Decimal(sys.float_info.min):
+            return  # subnormal: floats are coarser than the 1e-9 margin
+        assert received(ber, bits, float(q * (1 - Decimal("1e-9"))))
+        above = float(q * (1 + Decimal("1e-9")))
+        if above < 1.0:
+            assert not received(ber, bits, above)
 
     def test_high_precision_oracle_values(self):
-        # Frozen from a 60-digit Decimal evaluation of 1-(1-ber)^bits.
-        assert frame_loss_probability(2e-4, DATA_BITS) == pytest.approx(
-            0.8106515711356463, rel=1e-12)
-        assert frame_loss_probability(2e-6, DATA_BITS) == pytest.approx(
-            0.0165023362886885, rel=1e-12)
+        # Frozen from a 60-digit Decimal evaluation of (1-ber)^bits: frames
+        # are lost with probability 0.8106515711356463 and 0.0165023362886885.
+        for ber, q in ((2e-4, "0.18934842886435369065827917601929"),
+                       (2e-6, "0.98349766371131149987583546761499")):
+            assert decimal_success(ber, DATA_BITS) == pytest.approx(
+                Decimal(q), rel=Decimal("1e-30"))
+            self.assert_threshold(ber, DATA_BITS, Decimal(q))
 
     @given(st.floats(min_value=0, max_value=0.99), st.integers(1, 20000))
-    @settings(max_examples=50)
+    @settings(max_examples=50, derandomize=True)
     def test_matches_decimal_oracle(self, ber, bits):
-        getcontext().prec = 40
-        expected = float(Decimal(1) - (Decimal(1) - Decimal(ber)) ** bits)
-        assert frame_loss_probability(ber, bits) == pytest.approx(
-            expected, rel=1e-9, abs=1e-12)
-
-    def test_invalid_bits(self):
-        with pytest.raises(ValueError):
-            frame_loss_probability(0.1, 0)
+        self.assert_threshold(ber, bits, decimal_success(ber, bits))
 
 
 class TestSampleReception:

@@ -84,7 +84,7 @@ class TestParseConfig:
         assert cfg.protocols == tuple(Protocol)
         assert cfg.bers == DEFAULT_BERS
         assert cfg.seeds == DEFAULT_SEEDS
-        assert [(f.src, f.dst) for f in cfg.resolved_flows()] == [(0, 4), (4, 0)]
+        assert [(f.src, f.dst) for f in cfg.flows] == [(0, 4), (4, 0)]
 
     def test_full_config(self):
         text = """
@@ -106,7 +106,7 @@ class TestParseConfig:
         assert cfg.params.timers.ack_slot == 0.004
         assert cfg.params.timers.base_timeout == 0.02
         assert cfg.params.payload_size == 500
-        assert cfg.resolved_flows()[0].dst == 24
+        assert cfg.flows[0].dst == 24
 
     def test_bad_ber_names_line(self):
         with pytest.raises(ConfigError) as err:
@@ -402,11 +402,11 @@ class TestMutatedConfigs:
                              ids=["readme", "explicit"])
     def test_the_unbroken_configs_parse(self, base):
         cfg = parse_config(base)
-        assert len(cfg.resolved_flows()) == 2
+        assert len(cfg.flows) == 2
         # A flow line may repeat: the same traffic twice is two flows.
         flow = next(line for line in base.splitlines()
                     if line.startswith("flow"))
-        assert len(parse_config(f"{base}{flow}\n").resolved_flows()) == 3
+        assert len(parse_config(f"{base}{flow}\n").flows) == 3
 
     def test_every_mutation_kind_is_made(self):
         kinds = {mid.split("-", 3)[3] for mid, _, _ in MUTANTS}

@@ -44,7 +44,7 @@ class TestRunSweep:
         cfg, rows = small_rows
         cells = len(cfg.protocols) * len(cfg.bers) * len(cfg.seeds)
         assert len(sweep_cells(cfg)) == cells
-        per_run = len(cfg.resolved_flows()) + 1  # plus the total row
+        per_run = len(cfg.flows) + 1  # plus the total row
         assert len(rows) == cells * per_run
 
     def test_row_order_protocol_ber_seed(self, small_rows):
@@ -192,7 +192,7 @@ class TestGainTable:
             rows.append({"scenario": "s", "protocol": proto, "ber": "0.0",
                          "seed": 1, "flow": "total", "delivered_bytes": 10,
                          "throughput_bps": "80.000"})
-        gains = gain_table(rows, baselines=("bend",))
+        gains = gain_table(rows)
         assert gains == [{"scenario": "s", "ber": "0.0", "base": "bend",
                           "gain_pct": "0.00"}]
 
@@ -203,15 +203,18 @@ class TestGainTable:
             {"scenario": "s", "protocol": "plain", "ber": "0.0", "seed": 1,
              "flow": "total", "delivered_bytes": 0, "throughput_bps": "0.000"},
         ]
-        gains = gain_table(rows, baselines=("plain",))
+        gains = gain_table(rows)
         assert gains[0]["gain_pct"] == UNDEFINED_GAIN
 
     def test_missing_baseline_cell_faults(self):
-        rows = [{"scenario": "s", "protocol": "flexonc", "ber": "0.0",
-                 "seed": 1, "flow": "total", "delivered_bytes": 10,
-                 "throughput_bps": "80.000"}]
+        # bend ran at BER 0 only, so flexonc at 1e-4 has nothing to beat.
+        rows = [{"scenario": "s", "protocol": p, "ber": ber, "seed": 1,
+                 "flow": "total", "delivered_bytes": 10,
+                 "throughput_bps": "80.000"}
+                for p, ber in (("flexonc", "0.0"), ("flexonc", "0.0001"),
+                               ("bend", "0.0"))]
         with pytest.raises(KeyError):
-            gain_table(rows, baselines=("bend",))
+            gain_table(rows)
 
     def test_cell_stats_mean_std(self, small_rows):
         _, rows = small_rows
@@ -299,6 +302,27 @@ class TestCli:
         assert gains == (redo / "gains.csv").read_bytes()
         rows = csv.DictReader(gains.decode().splitlines())
         assert {r["base"] for r in rows} == {"plain"}
+
+    def test_gains_creates_a_missing_out_dir(self, tmp_path):
+        cfg = self.write_cfg(tmp_path)
+        out = tmp_path / "results"
+        main(["sweep", cfg, "--out-dir", str(out), "--jobs", "1", "--quiet"])
+        redo = tmp_path / "fresh" / "redo"
+        assert main(["gains", str(out / "runs.csv"),
+                     "--out-dir", str(redo)]) == 0
+        assert (redo / "gains.csv").read_bytes() == \
+            (out / "gains.csv").read_bytes()
+
+    def test_sweep_into_a_file_fails_before_any_cell(self, tmp_path, capsys):
+        # The out-dir is made before the first cell runs, so a bad one
+        # costs no sweep.
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["sweep", self.write_cfg(tmp_path), "--out-dir",
+                     str(taken), "--jobs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "[1/" not in err
+        assert taken.read_text() == ""
 
     def test_sweep_determinism_across_invocations(self, tmp_path):
         cfg = self.write_cfg(tmp_path)

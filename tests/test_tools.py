@@ -145,6 +145,32 @@ class TestSameBytes:
         assert out[2] == f"{'a' * 64}  event order  base"
         assert out[-1] == "first difference: event order differs"
 
+    def test_prints_line_counts_after_the_digests(self, monkeypatch, capsys,
+                                                  tmp_path):
+        # Two scratch trees: one module shrinks, one goes, one is new and
+        # one is left alone. The digest lines read as before, and the
+        # verdict stays last.
+        for tree, modules in (("base", {"a.py": 3, "b.py": 2, "c.py": 1}),
+                              ("change", {"a.py": 1, "b.py": 2, "d.py": 4})):
+            package = tmp_path / tree / "src" / "meshnc"
+            package.mkdir(parents=True)
+            for name, lines in modules.items():
+                (package / name).write_text("x = 1\n" * lines)
+        base, change = tmp_path / "base", tmp_path / "change"
+        monkeypatch.setattr(samebytes, "start", lambda tree: tree)
+        monkeypatch.setattr(samebytes, "finish",
+                            lambda tree, proc: (self.A, "e" * 64))
+        assert samebytes.main([str(base), str(change)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[2] == f"{'e' * 64}  event order  {base}"
+        assert out[5] == f"{'e' * 64}  event order  {change}"
+        assert out[6:] == [
+            f"6 lines  a.py 3, b.py 2, c.py 1  {base}",
+            f"7 lines  a.py 1, b.py 2, d.py 4  {change}",
+            "lines changed: a.py 3 → 1, c.py 1 → -, d.py - → 4, total 6 → 7",
+            "same bytes",
+        ]
+
     def test_names_the_first_cell_whose_event_order_differs(self, monkeypatch,
                                                             capsys):
         # The child ends each cell line with that cell's event-order digest.
