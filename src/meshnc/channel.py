@@ -8,7 +8,7 @@ import math
 import random
 from typing import NamedTuple
 
-from .core import Frame, NodeId
+from .core import TRANSMITTER_FIELD, Frame, NodeId
 
 
 class Topology:
@@ -78,7 +78,8 @@ def sample_reception(frame: Frame, topo: Topology, params: ChannelParams,
     draws are consumed in ascending NodeId order, so runs are reproducible,
     and the receivers come back in that order, as an ascending tuple.
     """
-    sender = frame.transmitter
+    body = frame.body  # frame.transmitter, without the property call
+    sender = body[TRANSMITTER_FIELD[type(body)]]
     heard_by = topo._sorted_adj.get(sender)
     if heard_by is None:
         raise KeyError(f"unknown sender {sender}")

@@ -71,6 +71,8 @@ class ScenarioConfig:
         self.protocols = protocols
         self.bers = bers
         self.seeds = seeds
+        if topology_kind is None and not self.explicit_nodes:
+            raise ConfigError(None, "config needs a 'topology' or explicit 'node' lines")
         if not flows and topology_kind is None:
             raise ConfigError(None, "explicit topologies need explicit 'flow' lines")
         self.flows = flows or tuple(default_flows(topology_kind))
@@ -82,7 +84,7 @@ class ScenarioConfig:
             self._topology = (
                 Topology(self.explicit_nodes, self.range_m)
                 if self.explicit_nodes
-                else build_topology(self.topology_kind or "eight_node"))
+                else build_topology(self.topology_kind))
         return self._topology
 
     def scenario(self, protocol: Protocol, ber: float) -> Scenario:
@@ -204,8 +206,6 @@ def parse_config(text: str, name: str = "custom") -> ScenarioConfig:
     nodes = dict(given.pop("node", {}).values())
     flows = given.pop("flow", {})
     values = {dest: v for dest, lines in given.items() for v in lines.values()}
-    if "topology_kind" not in values and not nodes:
-        raise ConfigError(None, "config needs a 'topology' or explicit 'node' lines")
     # What is left in `values` once the knobs are out sets ScenarioConfig.
     knobs = {k: values.pop(k) for k in _FLOAT_PARAMS | _INT_PARAMS if k in values}
     timers = {k: knobs.pop(k) for k in ("ack_slot", "base_timeout") if k in knobs}

@@ -105,12 +105,13 @@ class Frame(NamedTuple):
 
     @property
     def transmitter(self) -> NodeId:
-        body = self.body
-        if isinstance(body, NativePacket):
-            return body.prev_hop
-        if isinstance(body, CodedPacket):
-            return body.sender
-        return body.ack_sender
+        return self.body[TRANSMITTER_FIELD[type(self.body)]]
+
+
+# The position of the field that names a frame's transmitter, by body type:
+# `Frame.transmitter` and `channel.sample_reception` both read it.
+TRANSMITTER_FIELD = {t: t._fields.index(f) for t, f in (
+    (NativePacket, "prev_hop"), (CodedPacket, "sender"), (Ack, "ack_sender"))}
 
 
 def data_frame_bits(payload_len: int) -> int:

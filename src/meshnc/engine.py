@@ -2,20 +2,25 @@
 
 The medium is arbitrated as a single contention domain: whenever it is free,
 every node with a serviceable queue draws a random backoff and the earliest
-draw transmits. Losers defer and re-contend, so hidden terminals never
-overlap in normal operation; only an exact backoff tie puts two frames on
-the air together, in which case any receiver in range of more than one
-transmitter gets nothing. Reception at each neighbor is an independent
-Bernoulli draw from the bit-error model. ACKs bypass contention: the grant
-machinery locks data out of the window right after a data frame in which its
-receivers acknowledge, one staggered slot per coded component.
+draw transmits. The grant scan finds those nodes by reading each node's two
+queues in place, `NodeState.ready`'s rule restated without a call per node
+(tests/test_engine.py::TestGrantScan pins the copy to `ready`). Losers
+defer and re-contend, so hidden terminals never overlap in normal
+operation; only an exact backoff tie puts two frames on the air together,
+in which case any receiver in range of more than one transmitter gets
+nothing. Reception at each neighbor is an independent Bernoulli draw from
+the bit-error model. ACKs bypass contention: the grant machinery locks data
+out of the window right after a data frame in which its receivers
+acknowledge, one staggered slot per coded component.
 
 Identical (scenario, seed) pairs replay identical event sequences: the heap
-orders events by (time, sequence number), receivers are visited in the
-order `sample_reception` returns them (ascending node id, the order in
-which it consumes its draws), and a single random stream is consumed in
-event order. Nodes answer a frame, a timer or their own transmission with
-the events they want scheduled, `(at, event, body)` tuples that the engine
+orders events by (time, sequence number), numbered by one counter, and `run`
+pops through `heapq.heappop` looked up on the module, which
+tools/samebytes.py wraps to digest that order; receivers are visited in the
+order `sample_reception` returns them (ascending node id, the order in which
+it consumes its draws), and a single random stream is consumed in event
+order. Nodes answer a frame, a timer or their own transmission with the
+events they want scheduled, `(at, event, body)` tuples that the engine
 pushes in the order given; a timer's body is the record it hands back to
 `on_timer`, and a wake-up (`E_WAKE`) only polls `ready` again. An ACK
 changes only the state of the nodes that hear it, so `on_ack` returns none.
@@ -32,10 +37,12 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
+from heapq import heappush
+from itertools import count
 from typing import Optional
 
 from .channel import ChannelParams, sample_reception
-from .core import (ACK_FRAME_BITS, Ack, Frame, PayloadId, native_packet,
+from .core import (ACK_FRAME_BITS, Ack, Frame, NativePacket, PayloadId,
                    new_value)
 from .node import (E_ACK_TX, E_TIMER, E_WAKE, Metrics, NodeState, TxIntent,
                    most_components)
@@ -119,8 +126,8 @@ class Simulation:
                          self.nbrs, hops[n], self.metrics, payload_check=check)
             for n in self.topo.nodes()
         }
-        # The grant scan's (id, node) pairs, in node order.
-        self._by_id = tuple(self.nodes.items())
+        # The grant scan's (id, q1, mixing_q) triples, in node order.
+        self._scan = tuple((n, v.q1, v.mixing_q) for n, v in self.nodes.items())
         # The ACK window after a data frame, indexed by its component
         # count. The trailing turnaround keeps the next data grant strictly
         # after the last in-window ACK has been processed by its receivers.
@@ -132,7 +139,7 @@ class Simulation:
                 p, max(map(len, adj.values()), default=0)) + 1)))
 
         self._heap: list[tuple] = []
-        self._seq = 0
+        self._next_seq = count(1).__next__
         self.now = 0.0
         self.busy_until = 0.0
         self.lockout_until = 0.0
@@ -144,19 +151,21 @@ class Simulation:
     # ------------------------------------------------------------- plumbing
 
     def _schedule(self, t: float, kind: int, a=None, b=None) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, kind, a, b))
+        heappush(self._heap, (t, self._next_seq(), kind, a, b))
 
     def _maybe_grant(self) -> None:
         if self._grant_at is not None:
             return
-        g = max(self.now, self.busy_until, self.lockout_until)
+        g = self.busy_until if self.busy_until > self.now else self.now
+        if self.lockout_until > g:
+            g = self.lockout_until
         self._grant_at = g
         self._schedule(g, E_GRANT)
 
     def _apply(self, nid: int, actions: list[tuple]) -> None:
+        heap, next_seq = self._heap, self._next_seq
         for at, event, body in actions:
-            self._schedule(at, event, nid, body)
+            heappush(heap, (at, next_seq(), event, nid, body))
 
     # ------------------------------------------------------------------ run
 
@@ -173,7 +182,7 @@ class Simulation:
             if t > horizon:
                 # Left on the heap: frames still on the air at the horizon
                 # hold payloads that held_payloads() must see.
-                heapq.heappush(heap, (t, seq, kind, a, b))
+                heappush(heap, (t, seq, kind, a, b))
                 break
             if t < self.now:
                 raise AssertionError(f"causality violation: {t} < {self.now}")
@@ -226,7 +235,8 @@ class Simulation:
         pid = new_value(PayloadId, (flow_index, k))
         payload = make_payload(pid, self.params.payload_size)
         nh = next_hop(self.tables, fl.src, fl.dst)
-        pkt = native_packet(pid, fl.src, fl.dst, fl.src, nh, payload)
+        pkt = new_value(NativePacket, (pid, fl.src, fl.dst, fl.src, nh,
+                                       payload, None))
         self.metrics.generated_count[flow_index] += 1
         self.metrics.generated_bytes[flow_index] += len(payload)
         node = self.nodes[fl.src]
@@ -239,14 +249,14 @@ class Simulation:
 
     def _on_grant(self) -> None:
         self._grant_at = None
-        self._after_air(())  # the scan below polls every node
+        self._after_air(())  # the scan below reads every node
         now = self.now
-        if now < max(self.busy_until, self.lockout_until) - 1e-15:
+        if now < self.busy_until - 1e-15 or now < self.lockout_until - 1e-15:
             self._maybe_grant()
             return
-        contenders = []
-        for n, node in self._by_id:
-            if node.ready(now):
+        contenders = []  # the nodes that are ready(now), in node order
+        for n, q1, mixing_q in self._scan:
+            if mixing_q or (q1 and q1[0].eligible_at <= now + 1e-12):
                 contenders.append(n)
         if not contenders:
             return

@@ -8,8 +8,8 @@ its heap unchanged: an ACK to send (`E_ACK_TX`, body the `Ack`), a timer
 (`E_TIMER`, body the record it fires: a sent native or a `HelperEntry`) or
 a wake-up at the end of a pairing hold (`E_WAKE`, no body). An ACK only
 updates state, so on_ack returns nothing. The engine owns the clock and the
-medium and asks `ready` whether a node contends for it (`select_transmission`
-repeats its q1-head test); the node owns queues, the decode pool,
+medium; `ready` says whether a node contends for it (the engine's grant scan
+and `select_transmission` restate it); the node owns queues, the decode pool,
 pending-retransmission records, helper timers and duplicate suppression.
 `_data_frame` builds every data frame it sends, a mix from the mixing queue
 or the q1 head with its riders; only a mix's pending records keep their
@@ -151,6 +151,7 @@ class NodeState:
         self._pool_oldest = float("-inf")
         self.recent_rx: deque[PayloadId] = deque(maxlen=REPORT_LEN)
         self.ack_cache: deque[tuple[NodeId, PayloadId]] = deque()
+        self._ack_cap = params.ack_cache_cap
         self._acked_by: dict[PayloadId, list[NodeId]] = {}
         self.pending: dict[PayloadId, NativePacket] = {}  # as last sent
         self.retries: dict[PayloadId, int] = {}
@@ -200,7 +201,7 @@ class NodeState:
             acked_by[pid] = [sender]
         else:
             senders.append(sender)
-        if len(cache) > self.params.ack_cache_cap:
+        if len(cache) > self._ack_cap:
             old_pid = cache.popleft()[1]
             senders = acked_by[old_pid]
             if len(senders) == 1:
@@ -307,8 +308,14 @@ class NodeState:
         """Peel every decodable component into the pool, so that overheard
         coded traffic feeds downstream decoding. Returns the natives
         peeled, by id, or none if an add evicted a pooled payload, which
-        may be one that a peel read."""
+        may be one that a peel read. With two or more components unpooled,
+        none can be peeled, and `decode` is pure, so none is tried."""
         pool = self.pool
+        unpooled = 0
+        for comp in c.components:
+            unpooled += comp.id not in pool
+        if unpooled > 1:
+            return {}
         size = len(pool)
         peeled = {}
         for comp in c.components:
@@ -364,10 +371,9 @@ class NodeState:
             onward_hop = next_hop(self.tables, self.node_id, pkt.dst)
             if self.protocol != PLAIN:
                 eligible += self.params.pairing_hold
-            self.q1.append(new_value(QueueEntry, (
-                native_packet(pkt.id, pkt.src, pkt.dst, pkt.prev_hop,
-                              onward_hop, pkt.payload),
-                eligible, False)))
+            self.q1.append(new_value(QueueEntry, (new_value(NativePacket, (
+                pkt.id, pkt.src, pkt.dst, pkt.prev_hop, onward_hop,
+                pkt.payload, None)), eligible, False)))
             self._queued.add(pkt.id)
         actions.append((now + self.params.turnaround + ack_delay, E_ACK_TX,
                         self._make_ack(pkt.id)))
@@ -502,12 +508,11 @@ class NodeState:
         pid = ack.payload
         if self.protocol != PLAIN and sender in self.hops:
             self.knowledge.merge(sender, (*report, pid), now)
-        sender_hood = self.nbrs(sender)
 
         sent = self.pending.get(pid)
         if sent is not None:
             nh = sent.next_hop
-            if nh == sender or nh in sender_hood:
+            if nh == sender or nh in self.nbrs(sender):
                 del self.pending[pid]
                 self.retries.pop(pid, None)
 
@@ -518,7 +523,7 @@ class NodeState:
         if helper is not None:
             # A node with no rank outranks no helper.
             intended = helper.pkt.next_hop
-            if (sender == intended or intended in sender_hood
+            if (sender == intended or intended in self.nbrs(sender)
                     or self._rank_table(helper.frame_sender, intended).get(
                         sender, helper.index) < helper.index):
                 del self.helper_timers[pid]
@@ -641,8 +646,8 @@ class NodeState:
             if bend:
                 second = (p.dst if p.next_hop == p.dst
                           else next_hop(self.tables, p.next_hop, p.dst))
-            stamped.append(native_packet(p.id, p.src, p.dst, me, p.next_hop,
-                                         p.payload, second))
+            stamped.append(new_value(NativePacket, (
+                p.id, p.src, p.dst, me, p.next_hop, p.payload, second)))
         natives = tuple(stamped)
         body = natives[0] if len(natives) == 1 else encode(natives, me)
         return new_value(Frame, (body, tuple(self.recent_rx),
@@ -727,11 +732,13 @@ class NodeState:
     def after_transmit(self, intent: TxIntent, end: float) -> list[tuple]:
         """Arm pending-ACK records once the frame has left the air."""
         deadline = end + self._ack_wait[len(intent.natives)]
+        pending, retries = self.pending, self.retries
+        limit, pooled = self.params.retry_limit, self.protocol != PLAIN
         actions: list[tuple] = []
         for native in intent.natives:
-            self.pending[native.id] = native
-            self.retries.setdefault(native.id, self.params.retry_limit)
+            pending[native.id] = native
+            retries.setdefault(native.id, limit)
             actions.append((deadline, E_TIMER, native))
-            if self.protocol != PLAIN:
+            if pooled:
                 self._pool_add(native.id, native.payload, end)
         return actions

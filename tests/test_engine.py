@@ -1,6 +1,8 @@
 """Event scheduler, MAC arbitration, traffic generation and metrics."""
 import copy
+import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,6 +29,9 @@ from meshnc import (
 )
 
 from mesh_strategies import mesh_configs
+from test_tools import samebytes
+
+CoarseRandom = samebytes.CoarseRandom
 
 
 class RiggedRandom(random.Random):
@@ -121,6 +126,72 @@ class TestMacGrantOracle:
         assert got == (winners, 2.0 + min(draws) * 32 * 1e-3)
         assert got == reference_grant(contenders, 2.0,
                                       ScriptedRandom(draws), 1e-3, 32)
+
+
+class TestGrantScan:
+    """`_on_grant` reads each node's queues in place rather than calling
+    `NodeState.ready`; at every grant its contenders must be exactly the
+    nodes whose `ready(now)` is true, in ascending order."""
+    FLOW_SECONDS = 2.0
+
+    def checked_run(self, text, coarse):
+        cfg = parse_config(text)
+        flows = tuple(Flow(f.src, f.dst, f.interval, self.FLOW_SECONDS)
+                      for f in cfg.flows)
+        (ber,), (seed,) = cfg.bers, cfg.seeds
+        grants = 0
+        for protocol in Protocol:
+            sim = Simulation(Scenario("scan", cfg.topology(), protocol, ber,
+                                      flows), seed)
+            if coarse:
+                sim.rng = CoarseRandom(seed)
+
+            def checked(contenders, now, *rest):
+                nonlocal grants
+                grants += 1
+                ready = []
+                for n in sorted(sim.nodes):
+                    if sim.nodes[n].ready(now):
+                        ready.append(n)
+                assert contenders == ready, (protocol, now)
+                return mac_grant(contenders, now, *rest)
+
+            with mock.patch.object(engine_mod, "mac_grant", checked):
+                sim.run()
+        assert grants
+
+    def test_the_q1_head_boundary(self, monkeypatch):
+        # A q1 head due within 1e-12 s of now contends and one a float
+        # later does not; a waiting mix contends whatever q1 holds.
+        sim = Simulation(Scenario("scan", build_topology("eight_node"),
+                                  Protocol.COPE, 0.0, ()), 1)
+        sim.now = now = 1.0
+        edge = now + 1e-12
+        pkt = core_mod.native_packet(PayloadId(0, 0), 0, 4, 0, 1, b"x")
+        nodes = sim.nodes
+        nodes[1].q1.append(node_mod.QueueEntry(pkt, edge))
+        nodes[2].q1.append(node_mod.QueueEntry(pkt, math.nextafter(edge, 2)))
+        nodes[5].q1.append(node_mod.QueueEntry(pkt, 2.0))
+        nodes[5].mixing_q.append((pkt,))
+        seen = []
+        monkeypatch.setattr(engine_mod, "mac_grant",
+                            lambda contenders, now, *rest:
+                            (seen.append(contenders) or [], now))
+        sim._on_grant()
+        ready = [n for n in sorted(nodes) if nodes[n].ready(now)]
+        assert seen == [ready] == [[1, 5]]
+
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=mesh_configs())
+    def test_contenders_are_the_ready_nodes(self, text):
+        self.checked_run(text, coarse=False)
+
+    @settings(max_examples=30, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=mesh_configs())
+    def test_contenders_are_the_ready_nodes_under_ties(self, text):
+        self.checked_run(text, coarse=True)
 
 
 class TestCollision:

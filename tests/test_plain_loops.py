@@ -23,12 +23,15 @@ import meshnc.node as node_mod
 
 PER_EVENT = {
     "engine.mac_grant": engine_mod.mac_grant,
+    "engine.Simulation._apply": engine_mod.Simulation._apply,
     "engine.Simulation._on_grant": engine_mod.Simulation._on_grant,
     "engine.Simulation._on_frame_end": engine_mod.Simulation._on_frame_end,
     "engine.Simulation._on_ack_end": engine_mod.Simulation._on_ack_end,
     "engine.Simulation._after_air": engine_mod.Simulation._after_air,
     "channel.sample_reception": channel_mod.sample_reception,
     "node.NodeState.admit_packet": node_mod.NodeState.admit_packet,
+    "node.NodeState.after_transmit": node_mod.NodeState.after_transmit,
+    "node.NodeState.on_ack": node_mod.NodeState.on_ack,
     "node.NodeState._on_coded": node_mod.NodeState._on_coded,
     "node.NodeState._harvest_components":
         node_mod.NodeState._harvest_components,

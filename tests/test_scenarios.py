@@ -7,6 +7,7 @@ import pytest
 
 from meshnc import (
     ConfigError,
+    Flow,
     Protocol,
     SimParams,
     TimerParams,
@@ -16,7 +17,8 @@ from meshnc import (
     neighbors,
     parse_config,
 )
-from meshnc.config import _FLOAT_PARAMS, _INT_PARAMS, DEFAULT_BERS, DEFAULT_SEEDS
+from meshnc.config import (_FLOAT_PARAMS, _INT_PARAMS, DEFAULT_BERS,
+                           DEFAULT_SEEDS, ScenarioConfig)
 
 
 class TestBuildTopology:
@@ -284,6 +286,15 @@ class TestParseConfig:
     def test_missing_topology_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("seeds = 1\n")
+
+    def test_a_config_built_without_a_topology_is_rejected(self):
+        # Built directly, not parsed: the same check, and no eight_node
+        # stand-in for the missing layout.
+        with pytest.raises(ConfigError, match="needs a 'topology'") as err:
+            ScenarioConfig(flows=(Flow(0, 4, 0.07, 1.0),))
+        assert err.value.line_no is None
+        with pytest.raises(ConfigError, match="needs a 'topology'"):
+            ScenarioConfig()
 
     def test_flow_endpoint_not_in_topology(self):
         with pytest.raises(ValueError):

@@ -64,6 +64,13 @@ class TestScaleProbeConfig:
             (0, 4, 0.1, 10.0), (9, 5, 0.1, 10.0),
             (15, 19, 0.1, 10.0), (24, 20, 0.1, 10.0)]
 
+    def test_scan_grant_counts_every_node_the_scan_reads(self):
+        # The scan reads every node's queues at every grant and calls no
+        # `ready`, so a count of `ready` calls would read far below N.
+        row = scaleprobe.probe(3, "plain")
+        assert row["N"] == 9 and row["events"] > 0
+        assert row["scan_grant"] >= 9
+
 
 samebytes = load("samebytes")
 

@@ -14,8 +14,12 @@ default) and prints one row:
   first cell (seed 1) and a later one (seed 2) of the same sweep;
 - ``builds2``: routing-table builds made while the later cell set up;
 - ``us_event``: CPU µs per event of the first cell's run, uninstrumented;
-- ``ready_grant``: ``NodeState.ready`` calls per MAC grant, counted in a
-  second run of that cell;
+- ``scan_grant``: nodes the grant scan reads per MAC grant, counted in a
+  second run of that cell. The scan reads each node's queues in place
+  (``Simulation._scan``), so this counts the entries it takes from there;
+  ``NodeState.ready`` calls would miss them. In a tree without
+  ``_scan``, whose scan polls ``ready``, it counts ``ready`` calls, which
+  also take in the engine's other polls;
 - ``rss_mb``: the child's peak resident set size.
 
 Standard library only, and outside ``bench/``: it gates nothing. The
@@ -39,7 +43,7 @@ BER = 1e-4
 SIZES = (25, 100, 196, 400)
 PROTOCOLS = ("plain", "cope", "bend", "flexonc")
 COLUMNS = ("N", "protocol", "parse_ms", "init1_ms", "init2_ms", "builds2",
-           "us_event", "ready_grant", "events", "rss_mb")
+           "us_event", "scan_grant", "events", "rss_mb")
 
 
 def flow_rows(k: int) -> list[int]:
@@ -71,7 +75,7 @@ def probe(k: int, protocol: str) -> dict:
     import meshnc.engine as mengine
     import meshnc.node as mnode
 
-    counts = {"builds": 0, "ready": 0, "grants": 0}
+    counts = {"builds": 0, "scan": 0, "grants": 0}
 
     def counting(owner, attr, key):
         original = getattr(owner, attr)
@@ -104,9 +108,19 @@ def probe(k: int, protocol: str) -> dict:
     events = first.run().events
     run_s = cpu() - t0
 
-    undo = [counting(mnode.NodeState, "ready", "ready"),
-            counting(mengine, "mac_grant", "grants")]
-    mengine.Simulation(cfg.scenario(proto, ber), cfg.seeds[0]).run()
+    class CountedScan(tuple):
+        def __iter__(self):
+            for entry in tuple.__iter__(self):
+                counts["scan"] += 1
+                yield entry
+
+    undo = [counting(mengine, "mac_grant", "grants")]
+    sim = mengine.Simulation(cfg.scenario(proto, ber), cfg.seeds[0])
+    if hasattr(sim, "_scan"):
+        sim._scan = CountedScan(sim._scan)
+    else:
+        undo.append(counting(mnode.NodeState, "ready", "scan"))
+    sim.run()
     for restore in undo:
         restore()
     return {
@@ -116,7 +130,7 @@ def probe(k: int, protocol: str) -> dict:
         "init2_ms": round(init2_s * 1e3, 2),
         "builds2": builds2,
         "us_event": round(run_s / max(events, 1) * 1e6, 2),
-        "ready_grant": round(counts["ready"] / max(counts["grants"], 1), 2),
+        "scan_grant": round(counts["scan"] / max(counts["grants"], 1), 2),
         "events": events,
         "rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                         / 1024.0, 1),
