@@ -8,10 +8,16 @@ queues in place, `NodeState.ready`'s rule restated without a call per node
 defer and re-contend, so hidden terminals never overlap in normal
 operation; only an exact backoff tie puts two frames on the air together,
 in which case any receiver in range of more than one transmitter gets
-nothing. Reception at each neighbor is an independent Bernoulli draw from
-the bit-error model. ACKs bypass contention: the grant machinery locks data
-out of the window right after a data frame in which its receivers
-acknowledge, one staggered slot per coded component.
+nothing. ACKs bypass contention: the grant machinery locks data out of the
+window right after a data frame in which its receivers acknowledge, one
+staggered slot per coded component.
+
+Reception at each neighbor is an independent Bernoulli draw from the
+bit-error model, and every draw is taken. Only hearers, nodes with a hop
+(`routing.sendable_hops`) or that are one, handle what they receive. A
+bystander, on no route chain (eight_node's N5-N7 under plain and cope),
+never holds, sends or is addressed; the engine counts in receiver order the
+`non_intended_coded` drop a coded frame costs it, so the bytes are the same.
 
 Identical (scenario, seed) pairs replay identical event sequences: the heap
 orders events by (time, sequence number), numbered by one counter, and `run`
@@ -23,14 +29,13 @@ order. Nodes answer a frame, a timer or their own transmission with the
 events they want scheduled, `(at, event, body)` tuples that the engine
 pushes in the order given; a timer's body is the record it hands back to
 `on_timer`, and a wake-up (`E_WAKE`) only polls `ready` again. An ACK
-changes only the state of the nodes that hear it, so `on_ack` returns none.
+only changes state, so `on_ack` returns none.
 
 Per-event code, here and in the node, channel, coding and core modules, uses
 plain `for` loops, not comprehensions or `any`/`all` over generator
-expressions: on Python 3.11 each evaluation of those builds a function
-object and a frame (3.12 inlines comprehensions), about a tenth of a run's
-CPU. Each loop draws, stops and returns as the expression it replaced did;
-tests/test_plain_loops.py names the functions.
+expressions: on Python 3.11 each builds a function object and a frame (3.12
+inlines comprehensions), about a tenth of a run's CPU. Each loop draws, stops
+and returns as the expression it replaced did (tests/test_plain_loops.py).
 """
 from __future__ import annotations
 
@@ -126,6 +131,8 @@ class Simulation:
                          self.nbrs, hops[n], self.metrics, payload_check=check)
             for n in self.topo.nodes()
         }
+        hearers = {n for n, h in hops.items() if h}.union(*hops.values())
+        self._hearers = {n: v for n, v in self.nodes.items() if n in hearers}
         # The grant scan's (id, q1, mixing_q) triples, in node order.
         self._scan = tuple((n, v.q1, v.mixing_q) for n, v in self.nodes.items())
         # The ACK window after a data frame, indexed by its component
@@ -300,12 +307,17 @@ class Simulation:
             for o in others:
                 jammed |= self.nbrs(o)
             receivers = sorted(set(receivers) - jammed)  # still ascending
-        nodes = self.nodes
+        hearers, heard = self._hearers, [w]
         for r in receivers:
-            actions = nodes[r].on_data_frame(frame, now)
-            if actions:
-                self._apply(r, actions)
-        self._after_air((w, *receivers))
+            node = hearers.get(r)
+            if node is not None:
+                heard.append(r)
+                actions = node.on_data_frame(frame, now)
+                if actions:
+                    self._apply(r, actions)
+            elif type(frame.body) is not NativePacket:  # as `_on_coded` does
+                self.metrics.drops["non_intended_coded"] += 1
+        self._after_air(heard)
 
     def _transmit_ack(self, nid: int, ack: Ack) -> None:
         frame = self.nodes[nid].build_ack_frame(ack)
@@ -322,10 +334,13 @@ class Simulation:
     def _on_ack_end(self, nid: int, frame: Frame) -> None:
         receivers = sample_reception(frame, self.topo, self.chan, self.rng)
         ack, report = frame.body, frame.reception_report
-        now, nodes = self.now, self.nodes
+        now, hearers, heard = self.now, self._hearers, []
         for r in receivers:
-            nodes[r].on_ack(ack, report, now)
-        self._after_air(receivers)
+            node = hearers.get(r)
+            if node is not None:
+                heard.append(r)
+                node.on_ack(ack, report, now)
+        self._after_air(heard)
 
     def _after_air(self, touched) -> None:
         """When the air may be free: send a backlogged ACK, then grant the

@@ -40,6 +40,7 @@ from .coding import (
 from .core import (
     ACK_FRAME_BITS,
     Ack,
+    CodedComponent,
     CodedPacket,
     Frame,
     NativePacket,
@@ -304,18 +305,18 @@ class NodeState:
         return self._on_coded(body, frame, now)
 
     def _harvest_components(self, c: CodedPacket, now: float,
-                            ) -> dict[PayloadId, NativePacket]:
+                            ) -> tuple[dict[PayloadId, NativePacket], int]:
         """Peel every decodable component into the pool, so that overheard
         coded traffic feeds downstream decoding. Returns the natives
-        peeled, by id, or none if an add evicted a pooled payload, which
-        may be one that a peel read. With two or more components unpooled,
-        none can be peeled, and `decode` is pure, so none is tried."""
+        peeled, by id (none if an add evicted a pooled payload, which may
+        be one that a peel read), and how many components were unpooled.
+        With two or more, none can be peeled, so `decode` is not tried."""
         pool = self.pool
         unpooled = 0
         for comp in c.components:
             unpooled += comp.id not in pool
         if unpooled > 1:
-            return {}
+            return {}, unpooled
         size = len(pool)
         peeled = {}
         for comp in c.components:
@@ -327,7 +328,16 @@ class NodeState:
                 self._note_received(native.id)
                 peeled[native.id] = native
                 size += 1  # each peel adds one entry; an eviction drops one
-        return peeled if len(pool) == size else {}
+        return (peeled if len(pool) == size else {}), unpooled
+
+    def _native_of(self, c: CodedPacket, comp: CodedComponent, peeled: dict,
+                   unpooled: int) -> Optional[NativePacket]:
+        """`decode(c, pool, comp)`, called only with one component unpooled."""
+        if unpooled == 1:
+            return peeled.get(comp.id) or decode(c, self.pool, comp)
+        return None if unpooled else new_value(NativePacket, (
+            comp.id, comp.src, comp.dst, c.sender, comp.intended_next_hop,
+            self.pool[comp.id], None))
 
     def _cede_custody(self, pid: PayloadId, addressee: NodeId) -> None:
         """Another node was heard transmitting this payload to a third node:
@@ -466,18 +476,18 @@ class NodeState:
         for comp in c.components:
             self._cede_custody(comp.id, comp.intended_next_hop)
             self._refresh_helper(comp.id, now, actions)
-        peeled = {}
+        peeled, unpooled = {}, 1  # plain pools nothing, so it decodes
         if proto != PLAIN:
             if c.sender in self.hops:
                 ids = [*frame.reception_report]
                 for comp in c.components:
                     ids.append(comp.id)
                 self.knowledge.merge(c.sender, tuple(ids), now)
-            peeled = self._harvest_components(c, now)
+            peeled, unpooled = self._harvest_components(c, now)
 
         for i, comp in enumerate(c.components):
             if comp.intended_next_hop == self.node_id:
-                native = peeled.get(comp.id) or decode(c, self.pool, comp)
+                native = self._native_of(c, comp, peeled, unpooled)
                 if native is None:
                     self.metrics.drops["undecodable"] += 1
                     return actions  # silent; the sender discovers via timeout
@@ -491,7 +501,7 @@ class NodeState:
             comp = flexonc_eligible(self.node_id, c, self.tables, self.nbrs,
                                     self.pool)
         if comp is not None and not self._in_custody(comp.id):
-            native = peeled.get(comp.id) or decode(c, self.pool, comp)
+            native = self._native_of(c, comp, peeled, unpooled)
         if native is None or not self.admit_packet(native):
             self.metrics.drops["non_intended_coded"] += 1
             return actions

@@ -12,6 +12,7 @@ import meshnc.core as core_mod
 import meshnc.engine as engine_mod
 import meshnc.node as node_mod
 from meshnc import (
+    CodedPacket,
     Flow,
     Metrics,
     PayloadId,
@@ -128,21 +129,41 @@ class TestMacGrantOracle:
                                       ScriptedRandom(draws), 1e-3, 32)
 
 
+def stock_scenario(kind, protocol, seconds=2.0, ber=1e-4):
+    flows = tuple(Flow(f.src, f.dst, f.interval, seconds)
+                  for f in default_flows(kind))
+    return Scenario(kind, build_topology(kind), protocol, ber, flows)
+
+
+def mesh_scenarios(text, seconds=2.0):
+    """One scenario per protocol for a `mesh_configs` text, its flows cut
+    to `seconds`, with the config's seed."""
+    cfg = parse_config(text)
+    flows = tuple(Flow(f.src, f.dst, f.interval, seconds) for f in cfg.flows)
+    (ber,), (seed,) = cfg.bers, cfg.seeds
+    return [(Scenario("mesh", cfg.topology(), protocol, ber, flows), seed)
+            for protocol in Protocol]
+
+
+def bystanders(sim):
+    return sorted(set(sim.nodes) - set(sim._hearers))
+
+
+def snapshot(m):
+    """Every `Metrics` field, its counters copied."""
+    return {k: (dict(v) if isinstance(v, dict) else v)
+            for k, v in vars(m).items()}
+
+
 class TestGrantScan:
     """`_on_grant` reads each node's queues in place rather than calling
     `NodeState.ready`; at every grant its contenders must be exactly the
     nodes whose `ready(now)` is true, in ascending order."""
-    FLOW_SECONDS = 2.0
 
     def checked_run(self, text, coarse):
-        cfg = parse_config(text)
-        flows = tuple(Flow(f.src, f.dst, f.interval, self.FLOW_SECONDS)
-                      for f in cfg.flows)
-        (ber,), (seed,) = cfg.bers, cfg.seeds
         grants = 0
-        for protocol in Protocol:
-            sim = Simulation(Scenario("scan", cfg.topology(), protocol, ber,
-                                      flows), seed)
+        for sc, seed in mesh_scenarios(text):
+            sim = Simulation(sc, seed)
             if coarse:
                 sim.rng = CoarseRandom(seed)
 
@@ -153,7 +174,7 @@ class TestGrantScan:
                 for n in sorted(sim.nodes):
                     if sim.nodes[n].ready(now):
                         ready.append(n)
-                assert contenders == ready, (protocol, now)
+                assert contenders == ready, (sc.protocol, now)
                 return mac_grant(contenders, now, *rest)
 
             with mock.patch.object(engine_mod, "mac_grant", checked):
@@ -192,6 +213,150 @@ class TestGrantScan:
     @given(text=mesh_configs())
     def test_contenders_are_the_ready_nodes_under_ties(self, text):
         self.checked_run(text, coarse=True)
+
+
+class TestBystanders:
+    """The frame and ACK handlers skip the bystanders, the nodes on no
+    route chain (`Simulation._hearers` leaves them out). A run with the
+    skip must match one in which every node hears, and what a bystander
+    would do, were it called, must be nothing but the coded-frame drop
+    the engine counts in its stead."""
+
+    @pytest.mark.parametrize("kind, protocol, expected", [
+        ("eight_node", Protocol.PLAIN, [5, 6, 7]),
+        ("eight_node", Protocol.COPE, [5, 6, 7]),
+        ("eight_node", Protocol.BEND, []),
+        ("eight_node", Protocol.FLEXONC, []),
+        ("grid5", Protocol.PLAIN, [12, 18, 24]),
+        ("grid5", Protocol.COPE, [12, 18, 24]),
+        ("grid5", Protocol.BEND, [24]),
+        ("grid5", Protocol.FLEXONC, [24]),
+    ])
+    def test_stock_bystanders(self, kind, protocol, expected):
+        sim = Simulation(stock_scenario(kind, protocol), 1)
+        assert bystanders(sim) == expected
+
+    def traced_run(self, sim):
+        """Run `sim`; its metrics and the (time, seq) of every pop."""
+        order = []
+        pop = engine_mod.heapq.heappop
+
+        def recorded(heap):
+            item = pop(heap)
+            order.append(item[:2])
+            return item
+
+        with mock.patch.object(engine_mod, "heapq",
+                               mock.Mock(heappop=recorded)):
+            m = sim.run()
+        return m, order
+
+    def compare(self, sc, seed, coarse):
+        runs = []
+        for every_node_hears in (False, True):
+            sim = Simulation(sc, seed)
+            if every_node_hears:
+                sim._hearers = sim.nodes
+            if coarse:
+                sim.rng = CoarseRandom(seed)
+            m, order = self.traced_run(sim)
+            runs.append((vars(m), list(m.drops.items()), order))
+        assert runs[0] == runs[1], (sc.protocol, seed)
+
+    @settings(max_examples=40, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=mesh_configs())
+    def test_the_skip_changes_nothing(self, text):
+        for sc, seed in mesh_scenarios(text):
+            self.compare(sc, seed, coarse=False)
+
+    @settings(max_examples=20, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=mesh_configs())
+    def test_the_skip_changes_nothing_under_ties(self, text):
+        for sc, seed in mesh_scenarios(text):
+            self.compare(sc, seed, coarse=True)
+
+    def check_bystanders(self, sc, seed):
+        """Whether the skip is sound, judged without it. In a run where
+        every node hears, each bystander's handlers schedule nothing and
+        move no `Metrics` field but one `non_intended_coded` drop per coded
+        frame, and it holds nothing at the horizon. In the run with the
+        skip, the drops counted outside the hearers' handlers are one per
+        coded frame a bystander receives. Returns that count."""
+        sim = Simulation(sc, seed)
+        skipped = bystanders(sim)
+        m = sim.metrics
+        coded_rx = 0
+        sample = engine_mod.sample_reception
+
+        def counted_sample(frame, *rest):
+            nonlocal coded_rx
+            receivers = sample(frame, *rest)
+            if type(frame.body) is CodedPacket:
+                for r in receivers:
+                    coded_rx += r not in sim._hearers
+            return receivers
+
+        in_handlers = 0
+        for node in sim._hearers.values():
+            def counted(frame, now, handler=node.on_data_frame):
+                nonlocal in_handlers
+                before = m.drops["non_intended_coded"]
+                actions = handler(frame, now)
+                in_handlers += m.drops["non_intended_coded"] - before
+                return actions
+            node.on_data_frame = counted
+        with mock.patch.object(engine_mod, "sample_reception",
+                               counted_sample):
+            sim.run()
+        # No tie, so every frame reached all the receivers it drew.
+        assert m.drops["non_intended_coded"] == in_handlers + coded_rx
+
+        sim = Simulation(sc, seed)
+        sim._hearers = sim.nodes
+        m = sim.metrics
+
+        def checked(handler, coded_of):
+            def wrapped(frame_or_ack, *rest):
+                before = snapshot(m)
+                actions = handler(frame_or_ack, *rest)
+                assert not actions
+                after = snapshot(m)
+                if coded_of(frame_or_ack):
+                    before["drops"]["non_intended_coded"] = (
+                        before["drops"].get("non_intended_coded", 0) + 1)
+                assert after == before
+                return actions
+            return wrapped
+
+        for b in skipped:
+            node = sim.nodes[b]
+            node.on_data_frame = checked(
+                node.on_data_frame,
+                lambda frame: type(frame.body) is CodedPacket)
+            node.on_ack = checked(node.on_ack, lambda ack: False)
+        sim.run()
+        for b in skipped:
+            node = sim.nodes[b]
+            assert not (node.q1 or node.q2 or node.mixing_q or node._queued)
+            assert not (node.pending or node.helper_timers or node.delivered)
+        return coded_rx
+
+    @settings(max_examples=25, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(text=mesh_configs())
+    def test_a_bystander_would_do_nothing(self, text):
+        for sc, seed in mesh_scenarios(text):
+            self.check_bystanders(sc, seed)
+
+    @pytest.mark.parametrize("kind", ["eight_node", "grid5"])
+    def test_a_stock_bystander_would_do_nothing(self, kind):
+        coded_rx = 0
+        for protocol in Protocol:
+            coded_rx += self.check_bystanders(
+                stock_scenario(kind, protocol), 1)
+        assert coded_rx > 0
 
 
 class TestCollision:

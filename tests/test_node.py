@@ -172,13 +172,49 @@ class TestCodedReception:
         assert [a.ack for a in acks_of(actions)] == [Ack(2, fwd.id)]
         assert [e.pkt.payload for e in node.q1] == [fwd.payload]
 
-    def test_undecodable_is_silent(self, ctx):
+    def test_a_pooled_intended_component_is_read_from_the_pool(
+            self, ctx, monkeypatch):
+        node = make_node(ctx, 2, Protocol.FLEXONC)
+        fwd, rev = example_pair()
+        coded = encode([fwd, rev], sender=1)
+        node._pool_add(fwd.id, fwd.payload, 0.0)
+        node._pool_add(rev.id, rev.payload, 0.0)
+        decoded = meshnc.node.decode(coded, node.pool, coded.components[0])
+        accepted = []
+        monkeypatch.setattr(node, "_accept",
+                            lambda pkt, *rest: accepted.append(pkt))
+        calls = self.count_decodes(monkeypatch)
+        node.on_data_frame(data_frame(coded), now=1.0)
+        assert calls == []
+        assert accepted == [decoded]
+        assert accepted[0].payload is node.pool[fwd.id]
+
+    def test_a_pooled_eligible_component_is_read_from_the_pool(
+            self, ctx, monkeypatch):
+        node = make_node(ctx, 6, Protocol.FLEXONC)
+        fwd, rev = example_pair()
+        coded = encode([fwd, rev], sender=1)
+        node._pool_add(fwd.id, fwd.payload, 0.0)
+        node._pool_add(rev.id, rev.payload, 0.0)
+        decoded = meshnc.node.decode(coded, node.pool, coded.components[0])
+        calls = self.count_decodes(monkeypatch)
+        actions = node.on_data_frame(data_frame(coded), now=1.0)
+        assert calls == []
+        (timer,) = timers_of(actions, HelperEntry)
+        assert timer.record.pkt == decoded
+        assert type(timer.record.pkt) is NativePacket
+
+    def test_undecodable_is_silent(self, ctx, monkeypatch):
+        # Both components unpooled: no decode can succeed, so none is
+        # tried, in the harvest or on the intended path.
+        calls = self.count_decodes(monkeypatch)
         node = make_node(ctx, 2, Protocol.FLEXONC)
         fwd, rev = example_pair()
         coded = encode([fwd, rev], sender=1)
         actions = node.on_data_frame(data_frame(coded), now=1.0)
         assert acks_of(actions) == []
         assert node.metrics.drops["undecodable"] == 1
+        assert calls == []
 
     def test_non_intended_bend_drops(self, ctx):
         node = make_node(ctx, 6, Protocol.BEND)

@@ -42,6 +42,31 @@ class TestBeyondSpread:
         assert benchpairs.spread([5.0]) == "5"
 
 
+class TestBytecodeCaches:
+    def test_names_each_tree_that_holds_a_meshnc_cache(self, tmp_path):
+        base, change = tmp_path / "base", tmp_path / "change"
+        for tree in (base, change):
+            (tree / "src" / "meshnc").mkdir(parents=True)
+        assert benchpairs.bytecode_caches([base, change]) == []
+        # Caches elsewhere in a tree are not imported by the benchmark.
+        (base / "tests" / "__pycache__").mkdir(parents=True)
+        (change / "src" / "__pycache__").mkdir()
+        assert benchpairs.bytecode_caches([base, change]) == []
+        cache = change / "src" / "meshnc" / "__pycache__"
+        cache.mkdir()
+        assert benchpairs.bytecode_caches([base, change]) == [cache]
+        (base / "src" / "meshnc" / "__pycache__").mkdir()
+        assert benchpairs.bytecode_caches([base, change]) == [
+            base / "src" / "meshnc" / "__pycache__", cache]
+
+    def test_refuses_to_start_on_a_cache(self, tmp_path):
+        cache = tmp_path / "src" / "meshnc" / "__pycache__"
+        cache.mkdir(parents=True)
+        with pytest.raises(SystemExit) as refused:
+            benchpairs.main([str(tmp_path), str(tmp_path), "--seeds", "1"])
+        assert str(cache) in str(refused.value)
+
+
 scaleprobe = load("scaleprobe")
 
 

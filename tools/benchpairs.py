@@ -16,11 +16,18 @@ than the base's quartile spread, q3 - q1 (``beyond spread``) or not
 (``within spread``): a difference within it is not told apart from
 run-to-run noise. Last, per workload, it prints whether every pair's
 ``runs_sha256`` matched. Standard library only.
+
+It refuses to start while either tree holds ``src/meshnc/__pycache__``, and
+runs each benchmark with ``PYTHONDONTWRITEBYTECODE=1``, so neither tree
+times an import from bytecode: a cache left by an earlier run is never
+refreshed under that setting, so a module edited since is compiled on every
+import, in one tree only, and its ``setup_s`` reads as a regression.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -33,7 +40,8 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
     (or "<metric>" for a single workload), and runs_sha256 by workload."""
     cmd = [sys.executable, "bench/meshbench.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or not lines:
         raise SystemExit(f"benchpairs: {' '.join(cmd)} failed in {tree} "
@@ -50,6 +58,16 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float,
         elif words[:1] == ["runs_sha256"]:
             digests[current] = words[1]
     return result["metrics"], digests
+
+
+def bytecode_caches(trees: list[Path]) -> list[Path]:
+    """The ``src/meshnc/__pycache__`` directories that `trees` hold."""
+    caches = []
+    for tree in trees:
+        cache = tree / "src" / "meshnc" / "__pycache__"
+        if cache.is_dir():
+            caches.append(cache)
+    return caches
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -85,6 +103,11 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", default="all")
     args = ap.parse_args(argv)
 
+    caches = bytecode_caches([args.base, args.change])
+    if caches:
+        raise SystemExit("benchpairs: remove the bytecode cache first, so "
+                         "that both trees import from source: "
+                         + ", ".join(map(str, caches)))
     spec = json.loads((args.base / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     sides = {"base": args.base, "change": args.change}
