@@ -31,6 +31,16 @@ pushes in the order given; a timer's body is the record it hands back to
 `on_timer`, and a wake-up (`E_WAKE`) only polls `ready` again. An ACK
 only changes state, so `on_ack` returns none.
 
+`Simulation.run` is the one event loop. It handles every event kind inline,
+with no engine call per event, and holds the engine's mutable state in
+locals: the clock, the end of the busy air, the ACK lockout, the pending
+grant and the ACK backlog, read from the instance when it starts and written
+back when it returns. What tests and tools swap on the instance before a run
+(`rng`, `_hearers`, `_scan`, `nbrs`) is read once at its start. What they
+patch on the module (`mac_grant`, `sample_reception`, `heapq.heappop`,
+`MAX_EVENTS`) is looked up in the loop, so the patch is what runs. Once the
+air may be free, a backlogged ACK goes out before any grant is polled for.
+
 Per-event code, here and in the node, channel, coding and core modules, uses
 plain `for` loops, not comprehensions or `any`/`all` over generator
 expressions: on Python 3.11 each builds a function object and a frame (3.12
@@ -47,9 +57,8 @@ from itertools import count
 from typing import Optional
 
 from .channel import ChannelParams, sample_reception
-from .core import (ACK_FRAME_BITS, Ack, Frame, NativePacket, PayloadId,
-                   new_value)
-from .node import (E_ACK_TX, E_TIMER, E_WAKE, Metrics, NodeState, TxIntent,
+from .core import ACK_FRAME_BITS, NativePacket, PayloadId, new_value
+from .node import (E_ACK_TX, E_TIMER, E_WAKE, Metrics, NodeState,
                    most_components)
 from .params import Scenario
 from .routing import (build_forwarding_tables, next_hop, sendable_hops,
@@ -155,73 +164,163 @@ class Simulation:
         # of any data grant as soon as the air frees (SIFS-style priority).
         self._ack_backlog: deque = deque()
 
-    # ------------------------------------------------------------- plumbing
-
-    def _schedule(self, t: float, kind: int, a=None, b=None) -> None:
-        heappush(self._heap, (t, self._next_seq(), kind, a, b))
-
-    def _maybe_grant(self) -> None:
-        if self._grant_at is not None:
-            return
-        g = self.busy_until if self.busy_until > self.now else self.now
-        if self.lockout_until > g:
-            g = self.lockout_until
-        self._grant_at = g
-        self._schedule(g, E_GRANT)
-
-    def _apply(self, nid: int, actions: list[tuple]) -> None:
-        heap, next_seq = self._heap, self._next_seq
-        for at, event, body in actions:
-            heappush(heap, (at, next_seq(), event, nid, body))
-
-    # ------------------------------------------------------------------ run
-
     def run(self) -> Metrics:
-        for i, fl in enumerate(self.sc.flows):
+        heap, next_seq, push = self._heap, self._next_seq, heappush
+        p, flows, nodes, m = self.params, self.sc.flows, self.nodes, self.metrics
+        for i, fl in enumerate(flows):
             if fl.duration > 0.0:
-                self._schedule(0.0, E_TRAFFIC, i, 0)
-        horizon = self.sc.duration + self.params.drain_grace
-
-        heap = self._heap
+                push(heap, (0.0, next_seq(), E_TRAFFIC, i, 0))
+        rng, hearers, scan, nbrs = (self.rng, self._hearers, self._scan,
+                                    self.nbrs)
+        topo, chan, tables, windows = (self.topo, self.chan, self.tables,
+                                       self._ack_window)
+        rate, horizon = p.data_rate, self.sc.duration + p.drain_grace
+        now, busy_until, lockout_until, grant_at, backlog = (
+            self.now, self.busy_until, self.lockout_until, self._grant_at,
+            self._ack_backlog)
         events = 0
         while heap:
             t, seq, kind, a, b = heapq.heappop(heap)
             if t > horizon:
                 # Left on the heap: frames still on the air at the horizon
                 # hold payloads that held_payloads() must see.
-                heappush(heap, (t, seq, kind, a, b))
+                push(heap, (t, seq, kind, a, b))
                 break
-            if t < self.now:
-                raise AssertionError(f"causality violation: {t} < {self.now}")
-            self.now = t
+            if t < now:
+                raise AssertionError(f"causality violation: {t} < {now}")
+            now = t
             events += 1
             if events > MAX_EVENTS:
                 raise SchedulerOverflow(
                     f"more than {MAX_EVENTS} events at t={t:.6f}; "
                     "likely a runaway timer loop"
                 )
-            if kind == E_GRANT:
-                self._on_grant()
-            elif kind == E_FRAME_END:
-                self._on_frame_end(a, b)
-            elif kind == E_ACK_TX:
-                self._on_ack_tx(a, b)
-            elif kind == E_ACK_END:
-                self._on_ack_end(a, b)
+            want = False  # schedule a grant; set only while none is due
+            if kind == E_ACK_TX:
+                if busy_until > now + 1e-15:
+                    backlog.append((a, b))
+                    continue
+                frame = nodes[a].build_ack_frame(b)
+                busy_until = now + frame.bits / rate
+                push(heap, (busy_until, next_seq(), E_ACK_END, a, frame))
+                continue
+            if kind == E_FRAME_END or kind == E_ACK_END or kind == E_GRANT:
+                # `heard`: the nodes to poll for a grant once the air may be
+                # free; the grant scan polls every node instead.
+                if kind == E_FRAME_END:
+                    w, intent = a
+                    for at, event, body in nodes[w].after_transmit(intent, now):
+                        push(heap, (at, next_seq(), event, w, body))
+                    frame = intent.frame
+                    receivers = sample_reception(frame, topo, chan, rng)
+                    if b:
+                        # A receiver in range of any other simultaneous
+                        # transmitter hears only garbage; the colliding
+                        # transmitters themselves hear nothing.
+                        jammed = set(b)
+                        for o in b:
+                            jammed |= nbrs(o)
+                        receivers = sorted(set(receivers) - jammed)
+                    heard = [w]
+                    for r in receivers:
+                        node = hearers.get(r)
+                        if node is not None:
+                            heard.append(r)
+                            for at, event, body in node.on_data_frame(frame, now):
+                                push(heap, (at, next_seq(), event, r, body))
+                        elif type(frame.body) is not NativePacket:
+                            # the drop `_on_coded` would count
+                            m.drops["non_intended_coded"] += 1
+                elif kind == E_ACK_END:
+                    ack, report, heard = b.body, b.reception_report, []
+                    for r in sample_reception(b, topo, chan, rng):
+                        node = hearers.get(r)
+                        if node is not None:
+                            heard.append(r)
+                            node.on_ack(ack, report, now)
+                else:
+                    grant_at = None
+                # The air may be free: a backlogged ACK goes out before any
+                # data grant is polled for.
+                if backlog and busy_until <= now + 1e-15:
+                    nid, ack = backlog.popleft()
+                    frame = nodes[nid].build_ack_frame(ack)
+                    busy_until = now + frame.bits / rate
+                    push(heap, (busy_until, next_seq(), E_ACK_END, nid, frame))
+                if kind != E_GRANT:
+                    # ready() only reads, and a grant already due makes the
+                    # answer moot.
+                    if grant_at is None:
+                        for r in heard:
+                            if nodes[r].ready(now):
+                                want = True
+                                break
+                elif now < busy_until - 1e-15 or now < lockout_until - 1e-15:
+                    want = True  # not free yet: grant when it is
+                else:
+                    contenders = []  # the nodes that are ready(now), in order
+                    for n, q1, mixing_q in scan:
+                        if mixing_q or (
+                                q1 and q1[0].eligible_at <= now + 1e-12):
+                            contenders.append(n)
+                    if contenders:
+                        winners, start = mac_grant(contenders, now, rng,
+                                                   p.slot_time, p.cw)
+                        collided = len(winners) > 1
+                        others: tuple[int, ...] = ()
+                        for i, w in enumerate(winners):
+                            # Every winner was ready at now <= start, so
+                            # each has an intent.
+                            intent = nodes[w].select_transmission(start)
+                            n = len(intent.natives)
+                            end = start + intent.frame.bits / rate
+                            m.tx_data += 1
+                            if n > 1:
+                                m.tx_coded += 1
+                            m.retx += intent.retx_count
+                            if collided:
+                                others = (*winners[:i], *winners[i + 1:])
+                            push(heap, (end, next_seq(), E_FRAME_END,
+                                        (w, intent), others))
+                            if end > busy_until:
+                                busy_until = end
+                            lock = end + windows[n]
+                            if lock > lockout_until:
+                                lockout_until = lock
+                        want = len(contenders) > len(winners)
             elif kind == E_TIMER:
-                node = self.nodes[a]
-                actions = node.on_timer(b, t)
-                if actions:
-                    self._apply(a, actions)
-                if self._grant_at is None and node.ready(t):
-                    self._maybe_grant()
+                node = nodes[a]
+                for at, event, body in node.on_timer(b, now):
+                    push(heap, (at, next_seq(), event, a, body))
+                want = grant_at is None and node.ready(now)
             elif kind == E_WAKE:
-                if self._grant_at is None and self.nodes[a].ready(t):
-                    self._maybe_grant()
-            elif kind == E_TRAFFIC:
-                self._on_traffic(a, b)
-        self.metrics.events = events
-        return self.metrics
+                want = grant_at is None and nodes[a].ready(now)
+            else:  # E_TRAFFIC: packet b of flow a
+                fl = flows[a]
+                pid = new_value(PayloadId, (a, b))
+                payload = make_payload(pid, p.payload_size)
+                pkt = new_value(NativePacket, (
+                    pid, fl.src, fl.dst, fl.src,
+                    next_hop(tables, fl.src, fl.dst), payload, None))
+                m.generated_count[a] += 1
+                m.generated_bytes[a] += len(payload)
+                node = nodes[fl.src]
+                want = (node.enqueue_source(pkt, now) and grant_at is None
+                        and node.ready(now))
+            if want:
+                grant_at = busy_until if busy_until > now else now
+                if lockout_until > grant_at:
+                    grant_at = lockout_until
+                push(heap, (grant_at, next_seq(), E_GRANT, None, None))
+            if kind == E_TRAFFIC:  # its successor goes after its grant
+                t_next = (b + 1) * fl.interval
+                if t_next < fl.duration:
+                    push(heap, (t_next, next_seq(), E_TRAFFIC, a, b + 1))
+        self.now, self.busy_until, self.lockout_until = (now, busy_until,
+                                                          lockout_until)
+        self._grant_at = grant_at
+        m.events = events
+        return m
 
     def held_payloads(self) -> set[PayloadId]:
         """Payloads some node still holds after run(), frames on the air at
@@ -234,127 +333,6 @@ class Simulation:
             if kind == E_FRAME_END:
                 held.update(n.id for n in a[1].natives)
         return held
-
-    # -------------------------------------------------------------- events
-
-    def _on_traffic(self, flow_index: int, k: int) -> None:
-        fl = self.sc.flows[flow_index]
-        pid = new_value(PayloadId, (flow_index, k))
-        payload = make_payload(pid, self.params.payload_size)
-        nh = next_hop(self.tables, fl.src, fl.dst)
-        pkt = new_value(NativePacket, (pid, fl.src, fl.dst, fl.src, nh,
-                                       payload, None))
-        self.metrics.generated_count[flow_index] += 1
-        self.metrics.generated_bytes[flow_index] += len(payload)
-        node = self.nodes[fl.src]
-        if (node.enqueue_source(pkt, self.now) and self._grant_at is None
-                and node.ready(self.now)):
-            self._maybe_grant()
-        t_next = (k + 1) * fl.interval
-        if t_next < fl.duration:
-            self._schedule(t_next, E_TRAFFIC, flow_index, k + 1)
-
-    def _on_grant(self) -> None:
-        self._grant_at = None
-        self._after_air(())  # the scan below reads every node
-        now = self.now
-        if now < self.busy_until - 1e-15 or now < self.lockout_until - 1e-15:
-            self._maybe_grant()
-            return
-        contenders = []  # the nodes that are ready(now), in node order
-        for n, q1, mixing_q in self._scan:
-            if mixing_q or (q1 and q1[0].eligible_at <= now + 1e-12):
-                contenders.append(n)
-        if not contenders:
-            return
-        p = self.params
-        winners, start = mac_grant(contenders, now, self.rng, p.slot_time, p.cw)
-        m, nodes, windows = self.metrics, self.nodes, self._ack_window
-        collided = len(winners) > 1
-        others: tuple[int, ...] = ()
-        for i, w in enumerate(winners):
-            # Every winner was ready at now <= start, so each has an intent.
-            intent = nodes[w].select_transmission(start)
-            n = len(intent.natives)
-            end = start + intent.frame.bits / p.data_rate
-            m.tx_data += 1
-            if n > 1:
-                m.tx_coded += 1
-            m.retx += intent.retx_count
-            if collided:
-                others = (*winners[:i], *winners[i + 1:])
-            self._schedule(end, E_FRAME_END, (w, intent), others)
-            if end > self.busy_until:
-                self.busy_until = end
-            lock = end + windows[n]
-            if lock > self.lockout_until:
-                self.lockout_until = lock
-        if len(contenders) > len(winners):
-            self._maybe_grant()
-
-    def _on_frame_end(self, tx: tuple[int, TxIntent], others: tuple[int, ...],
-                      ) -> None:
-        w, intent = tx
-        node = self.nodes[w]
-        now = self.now
-        self._apply(w, node.after_transmit(intent, now))
-        frame = intent.frame
-        receivers = sample_reception(frame, self.topo, self.chan, self.rng)
-        if others:
-            # A receiver in range of any other simultaneous transmitter hears
-            # only garbage; the colliding transmitters themselves hear nothing.
-            jammed = set(others)
-            for o in others:
-                jammed |= self.nbrs(o)
-            receivers = sorted(set(receivers) - jammed)  # still ascending
-        hearers, heard = self._hearers, [w]
-        for r in receivers:
-            node = hearers.get(r)
-            if node is not None:
-                heard.append(r)
-                actions = node.on_data_frame(frame, now)
-                if actions:
-                    self._apply(r, actions)
-            elif type(frame.body) is not NativePacket:  # as `_on_coded` does
-                self.metrics.drops["non_intended_coded"] += 1
-        self._after_air(heard)
-
-    def _transmit_ack(self, nid: int, ack: Ack) -> None:
-        frame = self.nodes[nid].build_ack_frame(ack)
-        air = frame.bits / self.params.data_rate
-        self.busy_until = self.now + air
-        self._schedule(self.now + air, E_ACK_END, nid, frame)
-
-    def _on_ack_tx(self, nid: int, ack: Ack) -> None:
-        if self.busy_until > self.now + 1e-15:
-            self._ack_backlog.append((nid, ack))
-            return
-        self._transmit_ack(nid, ack)
-
-    def _on_ack_end(self, nid: int, frame: Frame) -> None:
-        receivers = sample_reception(frame, self.topo, self.chan, self.rng)
-        ack, report = frame.body, frame.reception_report
-        now, hearers, heard = self.now, self._hearers, []
-        for r in receivers:
-            node = hearers.get(r)
-            if node is not None:
-                heard.append(r)
-                node.on_ack(ack, report, now)
-        self._after_air(heard)
-
-    def _after_air(self, touched) -> None:
-        """When the air may be free: send a backlogged ACK, then grant the
-        medium if a node in `touched` is ready."""
-        if self._ack_backlog and self.busy_until <= self.now + 1e-15:
-            nid, ack = self._ack_backlog.popleft()
-            self._transmit_ack(nid, ack)
-        # ready() only reads, and a grant already due makes the answer moot.
-        if self._grant_at is None:
-            now, nodes = self.now, self.nodes
-            for r in touched:
-                if nodes[r].ready(now):
-                    self._maybe_grant()
-                    return
 
 
 def run(scenario: Scenario, seed: int) -> Metrics:

@@ -344,18 +344,17 @@ class NodeState:
         it owns the retransmission responsibility now, so our pending record
         retires. A transmission addressed to this node hands custody to it
         instead (typically an upstream retry after our ACK was lost), so
-        the record stays."""
-        if addressee != self.node_id and pid in self.pending:
+        the record stays. Called only for a payload in `pending`."""
+        if addressee != self.node_id:
             del self.pending[pid]
             self.retries.pop(pid, None)
 
     def _refresh_helper(self, pid: PayloadId, now: float,
                         actions: list[tuple]) -> None:
         """A fresh transmission restarts the receiver-side race: push the
-        hold window out so the new intended forwarder's ACK can beat us."""
-        entry = self.helper_timers.get(pid)
-        if entry is None:
-            return
+        hold window out so the new intended forwarder's ACK can beat us.
+        Called only for a payload in `helper_timers`."""
+        entry = self.helper_timers[pid]
         fire = now + helper_hold_time(entry.index, self.params.timers)
         if fire > entry.fire_at:  # `_arm_helper` re-arms it to fire then
             later = self._arm_helper(entry.pkt, entry.frame_sender,
@@ -426,8 +425,10 @@ class NodeState:
         proto = self.protocol
         tx = p.prev_hop
         pid = p.id
-        self._cede_custody(pid, p.next_hop)
-        self._refresh_helper(pid, now, actions)
+        if pid in self.pending:
+            self._cede_custody(pid, p.next_hop)
+        if pid in self.helper_timers:
+            self._refresh_helper(pid, now, actions)
         if proto != PLAIN:
             know = self.knowledge
             if tx in self.hops:
@@ -474,8 +475,10 @@ class NodeState:
         actions: list[tuple] = []
         proto = self.protocol
         for comp in c.components:
-            self._cede_custody(comp.id, comp.intended_next_hop)
-            self._refresh_helper(comp.id, now, actions)
+            if comp.id in self.pending:
+                self._cede_custody(comp.id, comp.intended_next_hop)
+            if comp.id in self.helper_timers:
+                self._refresh_helper(comp.id, now, actions)
         peeled, unpooled = {}, 1  # plain pools nothing, so it decodes
         if proto != PLAIN:
             if c.sender in self.hops:
@@ -578,13 +581,14 @@ class NodeState:
         a new entry, and the one object stored again, a native re-queued by
         `_fire_pending`, is sent again only after its own timer has fired."""
         if type(record) is HelperEntry:
-            return self._fire_helper(record, now)
-        return self._fire_pending(record, now)
+            if self.helper_timers.get(record.pkt.id) is record:
+                return self._fire_helper(record, now)
+        elif self.pending.get(record.id) is record:
+            return self._fire_pending(record, now)
+        return []  # stale: acked, ceded, resent, cancelled or pushed out
 
     def _fire_pending(self, sent: NativePacket, now: float) -> list[tuple]:
         pid = sent.id
-        if self.pending.get(pid) is not sent:
-            return []  # acknowledged, ceded or sent again
         del self.pending[pid]
         if pid in self._queued:
             return []  # another copy is already queued here
@@ -605,8 +609,6 @@ class NodeState:
 
     def _fire_helper(self, entry: HelperEntry, now: float) -> list[tuple]:
         pid = entry.pkt.id
-        if self.helper_timers.get(pid) is not entry:
-            return []  # cancelled, or pushed out by a fresher transmission
         del self.helper_timers[pid]
         if pid in self.pending or pid in self.delivered:
             return []

@@ -1,11 +1,17 @@
 """Hypothesis strategies shared by the tests that run random meshes."""
 import math
 
+from hypothesis import Phase
 from hypothesis import strategies as st
 
 from meshnc import SimParams
 
 RANGE = 250.0
+
+# The phases of a test that runs whole simulations per example: every phase
+# but shrinking, which can take many minutes over such examples. A failure
+# then reports the example it was found on, in seconds.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 
 def grown_positions(draw, n):

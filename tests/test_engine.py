@@ -1,5 +1,6 @@
 """Event scheduler, MAC arbitration, traffic generation and metrics."""
 import copy
+import heapq
 import math
 import random
 from unittest import mock
@@ -29,7 +30,7 @@ from meshnc import (
     throughput,
 )
 
-from mesh_strategies import mesh_configs
+from mesh_strategies import NO_SHRINK, mesh_configs
 from test_tools import samebytes
 
 CoarseRandom = samebytes.CoarseRandom
@@ -155,10 +156,15 @@ def snapshot(m):
             for k, v in vars(m).items()}
 
 
+class Stop(Exception):
+    """Raised by a `mac_grant` stub to end a run at a grant."""
+
+
 class TestGrantScan:
-    """`_on_grant` reads each node's queues in place rather than calling
-    `NodeState.ready`; at every grant its contenders must be exactly the
-    nodes whose `ready(now)` is true, in ascending order."""
+    """The grant scan in `Simulation.run` reads each node's queues in place
+    rather than calling `NodeState.ready`; at every grant its contenders
+    must be exactly the nodes whose `ready(now)` is true, in ascending
+    order."""
 
     def checked_run(self, text, coarse):
         grants = 0
@@ -186,7 +192,7 @@ class TestGrantScan:
         # later does not; a waiting mix contends whatever q1 holds.
         sim = Simulation(Scenario("scan", build_topology("eight_node"),
                                   Protocol.COPE, 0.0, ()), 1)
-        sim.now = now = 1.0
+        now = 1.0
         edge = now + 1e-12
         pkt = core_mod.native_packet(PayloadId(0, 0), 0, 4, 0, 1, b"x")
         nodes = sim.nodes
@@ -195,24 +201,84 @@ class TestGrantScan:
         nodes[5].q1.append(node_mod.QueueEntry(pkt, 2.0))
         nodes[5].mixing_q.append((pkt,))
         seen = []
-        monkeypatch.setattr(engine_mod, "mac_grant",
-                            lambda contenders, now, *rest:
-                            (seen.append(contenders) or [], now))
-        sim._on_grant()
+
+        def stop(contenders, *rest):
+            # A grant with no winner would poll again at once, so the run
+            # stops at the first one.
+            seen.append(contenders)
+            raise Stop
+
+        monkeypatch.setattr(engine_mod, "mac_grant", stop)
+        heapq.heappush(sim._heap, (now, sim._next_seq(), engine_mod.E_GRANT,
+                                   None, None))
+        with pytest.raises(Stop):
+            sim.run()
         ready = [n for n in sorted(nodes) if nodes[n].ready(now)]
         assert seen == [ready] == [[1, 5]]
 
     @settings(max_examples=60, derandomize=True, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+              suppress_health_check=[HealthCheck.too_slow],
+              phases=NO_SHRINK)
     @given(text=mesh_configs())
     def test_contenders_are_the_ready_nodes(self, text):
         self.checked_run(text, coarse=False)
 
     @settings(max_examples=30, derandomize=True, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+              suppress_health_check=[HealthCheck.too_slow],
+              phases=NO_SHRINK)
     @given(text=mesh_configs())
     def test_contenders_are_the_ready_nodes_under_ties(self, text):
         self.checked_run(text, coarse=True)
+
+
+class TestAckBacklog:
+    """An ACK that comes due while a data frame is on the air waits in the
+    backlog; when the air frees it goes out before any data grant is
+    polled for, so the next grant falls after its airtime."""
+
+    def test_a_backlogged_ack_goes_out_before_the_next_grant(
+            self, monkeypatch):
+        sim = Simulation(Scenario("backlog", build_topology("eight_node"),
+                                  Protocol.PLAIN, 0.0, ()), 1)
+        nodes, rate = sim.nodes, sim.params.data_rate
+        for seq in (0, 1):  # the second keeps node 0 ready after the first
+            pkt = core_mod.native_packet(PayloadId(0, seq), 0, 4, 0, 1,
+                                         make_payload(PayloadId(0, seq), 64))
+            nodes[0].q1.append(node_mod.QueueEntry(pkt, 0.0))
+        # A data frame on the air from 0.5 s, planted as a grant leaves it
+        # but with no ACK window, and an ACK of node 6 due halfway through.
+        intent = nodes[0].select_transmission(0.5)
+        end = 0.5 + intent.frame.bits / rate
+        due = (0.5 + end) / 2
+        sim.busy_until = end
+        heapq.heappush(sim._heap, (end, sim._next_seq(), engine_mod.E_FRAME_END,
+                                   (0, intent), ()))
+        heapq.heappush(sim._heap, (due, sim._next_seq(), node_mod.E_ACK_TX, 6,
+                                   core_mod.Ack(6, PayloadId(9, 9))))
+        popped, pop = [], heapq.heappop
+
+        def recorded(heap):
+            item = pop(heap)
+            popped.append(item)
+            return item
+
+        def stop(contenders, *rest):
+            raise Stop
+
+        monkeypatch.setattr(heapq, "heappop", recorded)
+        monkeypatch.setattr(engine_mod, "mac_grant", stop)
+        with pytest.raises(Stop):
+            sim.run()
+        acks = [e for e in popped if e[2] == engine_mod.E_ACK_END]
+        grants = [e for e in popped if e[2] == engine_mod.E_GRANT]
+        ack_end = end + core_mod.ACK_FRAME_BITS / rate
+        # It waited for the frame to end, then went out at once.
+        assert [(e[0], e[3]) for e in acks] == [(ack_end, 6)]
+        assert grants
+        # Pushed before any grant, and no grant falls inside its airtime.
+        assert acks[0][1] < grants[0][1]
+        assert grants[0][0] >= ack_end
+        assert popped[-1] is grants[-1]  # the grant that ran the scan
 
 
 class TestBystanders:
@@ -264,14 +330,16 @@ class TestBystanders:
         assert runs[0] == runs[1], (sc.protocol, seed)
 
     @settings(max_examples=40, derandomize=True, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+              suppress_health_check=[HealthCheck.too_slow],
+              phases=NO_SHRINK)
     @given(text=mesh_configs())
     def test_the_skip_changes_nothing(self, text):
         for sc, seed in mesh_scenarios(text):
             self.compare(sc, seed, coarse=False)
 
     @settings(max_examples=20, derandomize=True, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+              suppress_health_check=[HealthCheck.too_slow],
+              phases=NO_SHRINK)
     @given(text=mesh_configs())
     def test_the_skip_changes_nothing_under_ties(self, text):
         for sc, seed in mesh_scenarios(text):
@@ -344,7 +412,8 @@ class TestBystanders:
         return coded_rx
 
     @settings(max_examples=25, derandomize=True, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+              suppress_health_check=[HealthCheck.too_slow],
+              phases=NO_SHRINK)
     @given(text=mesh_configs())
     def test_a_bystander_would_do_nothing(self, text):
         for sc, seed in mesh_scenarios(text):
@@ -544,7 +613,8 @@ class TestInvariants:
         assert m.retx == 0
 
     @settings(max_examples=BER0_EXAMPLES, derandomize=True, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+              suppress_health_check=[HealthCheck.too_slow],
+              phases=NO_SHRINK)
     @given(text=mesh_configs())
     def test_plain_at_zero_ber_below_saturation_loses_nothing(self, text):
         # A differential oracle on random meshes: with no bit errors, one

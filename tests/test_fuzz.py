@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from meshnc import (Flow, PayloadId, Protocol, Scenario, Simulation,
                     parse_config, run)
 
-from mesh_strategies import mesh_configs, wide_mesh_configs
+from mesh_strategies import NO_SHRINK, mesh_configs, wide_mesh_configs
 from test_tools import samebytes
 
 FLOW_SECONDS = 3.0
@@ -36,7 +36,8 @@ def coarse_run(scenario, seed):
 
 
 @settings(max_examples=40, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow],
+          phases=NO_SHRINK)
 @given(text=mesh_configs())
 def test_random_meshes_survive_coarse_backoffs(text):
     cfg = parse_config(text)
@@ -61,7 +62,8 @@ def test_random_meshes_survive_coarse_backoffs(text):
 
 
 @settings(max_examples=WIDE_EXAMPLES, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow],
+          phases=NO_SHRINK)
 @given(text=wide_mesh_configs())
 def test_wide_random_configs_survive(text):
     # The queue-index audit is the one tests/test_engine.py::TestConservation

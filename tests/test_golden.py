@@ -11,9 +11,14 @@ cells through `meshnc.run` and takes as long again.
 runs.csv leaves out most counters: `events`, drops by reason, `corrupted`,
 `duplicate_deliveries`, the generated counts. The metrics digest pins them
 too, so a change that keeps runs.csv but adds or drops events (`events`
-counts every event the heap hands out before the horizon) still shows.
+counts every event the heap hands out before the horizon) still shows. The
+same reruns also pin the event order: a digest over the time and sequence
+number of every event the engine pops, packed as tools/samebytes.py packs
+them, so a change that handles the same events in another order shows too.
 """
 import hashlib
+import heapq
+import struct
 
 import pytest
 
@@ -59,6 +64,13 @@ GOLDEN = {
 METRICS_GOLDEN = {
     "eight_node": "5b4e12de63c26c4f0c309e09cbdfa55958e10b99dc9ef69604ff248d31b380d9",
     "grid5": "43d09aafd9b67a1b30e25455c4ce2bd94b7c5e2ba84f1fb9e41a82c221e6fbb9",
+}
+
+
+# sha256 of the (time, seq) of every event popped during those reruns.
+EVENT_ORDER_GOLDEN = {
+    "eight_node": "dde9d5f12fbadce253f525f816786b5413009f0bf110c99283e8aef1dcfd426e",
+    "grid5": "5bdf39375480b84a6fba92851d85f856b2eda2d23ad2f39d5f5a52a4d5b296d0",
 }
 
 
@@ -110,6 +122,16 @@ def metrics_text(text: str) -> str:
 
 
 @pytest.mark.parametrize("label", sorted(METRICS_GOLDEN))
-def test_every_metrics_counter_matches_pinned_digest(label):
+def test_every_metrics_counter_matches_pinned_digest(label, monkeypatch):
+    # The engine pops through `heapq.heappop` looked up on the module.
+    order, pop, pack = hashlib.sha256(), heapq.heappop, struct.Struct("<dq").pack
+
+    def recorded(heap):
+        item = pop(heap)
+        order.update(pack(item[0], item[1]))
+        return item
+
+    monkeypatch.setattr(heapq, "heappop", recorded)
     text = GOLDEN[label][0]
     assert sha256(metrics_text(text)) == METRICS_GOLDEN[label]
+    assert order.hexdigest() == EVENT_ORDER_GOLDEN[label]

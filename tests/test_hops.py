@@ -13,7 +13,7 @@ from meshnc import (
 )
 from meshnc.routing import sendable_hops
 
-from mesh_strategies import RANGE, mesh_configs
+from mesh_strategies import NO_SHRINK, RANGE, mesh_configs
 
 # A line 0 - 1 - 2 with node 3 in range of all three: the route 0 -> 2 runs
 # through 1 (lowest id of the two equally close), and 3 can stand in for 1.
@@ -77,7 +77,8 @@ def watch_sends(sim, sent):
 
 
 @settings(max_examples=100, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow],
+          phases=NO_SHRINK)
 @given(text=mesh_configs())
 def test_every_sent_hop_and_knowledge_read_is_in_the_hop_set(text):
     """The hop-set argument, checked on random meshes: no frame component

@@ -25,7 +25,7 @@ from meshnc import (
     run,
 )
 
-from mesh_strategies import mesh_configs
+from mesh_strategies import NO_SHRINK, mesh_configs
 
 BER = 1e-4
 SEED = 1
@@ -74,7 +74,8 @@ def test_relabelled_and_translated_meshes_run_alike(kind, protocol):
 
 
 @settings(max_examples=60, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+          suppress_health_check=[HealthCheck.too_slow],
+          phases=NO_SHRINK)
 @given(text=mesh_configs(), dx=st.integers(-5000, 5000),
        dy=st.integers(-5000, 5000))
 def test_random_meshes_run_alike_relabelled_and_translated(text, dx, dy):
