@@ -8,8 +8,7 @@ forwarding tables and `SimParams` are `NamedTuple`s, so field reads, hashing
 and equality run in C. A class call does not: it goes through the `__new__`
 that namedtuple writes in Python. The hot path therefore builds values, and
 replaces one that changes, with `new_value(Type, fields)`, which is
-`tuple.__new__`, one C call, given every field in declaration order;
-`native_packet` fills in a `NativePacket`'s defaulted `second_next_hop`.
+`tuple.__new__`, one C call, given every field in declaration order.
 Tests and cold code call the classes. Each type here must hash as the plain
 tuple of its fields in order (`hash(PayloadId(f, s)) == hash((f, s))`): set
 and dict iteration order over them follows their hashes and reaches the
@@ -56,19 +55,10 @@ class NativePacket(NamedTuple):
     prev_hop: NodeId
     next_hop: NodeId
     payload: bytes
-    second_next_hop: Optional[NodeId] = None
 
 
 # Unlike a class call, it takes a short field tuple without complaint.
 new_value = tuple.__new__
-
-
-def native_packet(id: PayloadId, src: NodeId, dst: NodeId, prev_hop: NodeId,
-                  next_hop: NodeId, payload: bytes,
-                  second_next_hop: Optional[NodeId] = None) -> NativePacket:
-    """`NativePacket(...)` without the class call."""
-    return new_value(NativePacket, (id, src, dst, prev_hop, next_hop, payload,
-                                    second_next_hop))
 
 
 class CodedComponent(NamedTuple):
@@ -180,5 +170,6 @@ def decode(
         if other is None:
             return None
         payload = xor_payloads(payload, other)
-    return native_packet(target.id, target.src, target.dst, coded.sender,
-                         target.intended_next_hop, payload)
+    return new_value(NativePacket, (target.id, target.src, target.dst,
+                                    coded.sender, target.intended_next_hop,
+                                    payload))

@@ -57,7 +57,7 @@ from itertools import count
 from typing import Optional
 
 from .channel import ChannelParams, sample_reception
-from .core import ACK_FRAME_BITS, NativePacket, PayloadId, new_value
+from .core import ACK_FRAME_BITS, NativePacket, PayloadId, Protocol, new_value
 from .node import (E_ACK_TX, E_TIMER, E_WAKE, Metrics, NodeState,
                    most_components)
 from .params import Scenario
@@ -122,6 +122,8 @@ class Simulation:
         self.params = scenario.params
         self.topo = scenario.topology
         self.chan = ChannelParams(scenario.ber)
+        if not isinstance(scenario.protocol, Protocol):
+            raise ValueError(f"not a Protocol member: {scenario.protocol!r}")
         self.rng = random.Random(seed)
         # Shared with every other cell on this topology and flow set (and
         # with parse_config's flow check), so read, never written.
@@ -301,7 +303,7 @@ class Simulation:
                 payload = make_payload(pid, p.payload_size)
                 pkt = new_value(NativePacket, (
                     pid, fl.src, fl.dst, fl.src,
-                    next_hop(tables, fl.src, fl.dst), payload, None))
+                    next_hop(tables, fl.src, fl.dst), payload))
                 m.generated_count[a] += 1
                 m.generated_bytes[a] += len(payload)
                 node = nodes[fl.src]

@@ -51,11 +51,10 @@ from .core import (
     data_frame_bits,
     decode,
     encode,
-    native_packet,
     new_value,
 )
 from .params import SimParams
-from .routing import ForwardingTables, RoutingError, neighbor_next_hop, next_hop
+from .routing import ForwardingTables, neighbor_next_hop, next_hop
 
 # Bound once: looking a member up on the enum class is slow on the hot path.
 PLAIN, COPE, BEND, FLEXONC = Protocol
@@ -122,6 +121,9 @@ def most_components(params: SimParams, n_hops: int) -> int:
 
 
 class NodeState:
+    """One node's protocol state in one run. It trusts `Simulation` to pass
+    a `Protocol` member: any other value runs a hybrid of the protocols."""
+
     def __init__(self, node_id: NodeId, protocol: Protocol, params: SimParams,
                  tables: ForwardingTables, nbrs: NeighborFn,
                  hops: frozenset[NodeId], metrics: Metrics,
@@ -268,14 +270,8 @@ class NodeState:
             return True
         if sender == pkt.prev_hop or sender not in self.nbrs(nh):
             return False
-        try:
-            my_dist = self.tables.hop_count(self.node_id, pkt.dst)
-        except RoutingError:
-            return True
-        try:
-            return self.tables.hop_count(sender, pkt.dst) < my_dist
-        except RoutingError:
-            return False
+        hop_count = self.tables.hop_count
+        return hop_count(sender, pkt.dst) < hop_count(self.node_id, pkt.dst)
 
     def admit_packet(self, pkt: NativePacket) -> bool:
         """False when the packet demonstrably already progressed downstream:
@@ -337,7 +333,7 @@ class NodeState:
             return peeled.get(comp.id) or decode(c, self.pool, comp)
         return None if unpooled else new_value(NativePacket, (
             comp.id, comp.src, comp.dst, c.sender, comp.intended_next_hop,
-            self.pool[comp.id], None))
+            self.pool[comp.id]))
 
     def _cede_custody(self, pid: PayloadId, addressee: NodeId) -> None:
         """Another node was heard transmitting this payload to a third node:
@@ -382,22 +378,20 @@ class NodeState:
                 eligible += self.params.pairing_hold
             self.q1.append(new_value(QueueEntry, (new_value(NativePacket, (
                 pkt.id, pkt.src, pkt.dst, pkt.prev_hop, onward_hop,
-                pkt.payload, None)), eligible, False)))
+                pkt.payload)), eligible, False)))
             self._queued.add(pkt.id)
         actions.append((now + self.params.turnaround + ack_delay, E_ACK_TX,
                         self._make_ack(pkt.id)))
         if eligible > now:
             actions.append((eligible, E_WAKE, None))
 
-    def _onward(self, intended: NodeId, dst: NodeId) -> Optional[NodeId]:
+    def _onward(self, intended: NodeId, dst: NodeId) -> NodeId:
         """The hop after `intended` toward `dst`, read from this node's copy
-        of the intended forwarder's table; None when it has no route."""
+        of the intended forwarder's table. A caller neighbours `intended`, a
+        node on the payload's route chain, so the copy has a route to `dst`."""
         if intended == dst:
             return dst
-        try:
-            return neighbor_next_hop(self.tables, self.node_id, intended, dst)
-        except RoutingError:
-            return None
+        return neighbor_next_hop(self.tables, self.node_id, intended, dst)
 
     def _rank_table(self, sender: NodeId, intended: NodeId) -> dict:
         """`priority_index` of each node for a frame from `sender` to
@@ -459,11 +453,8 @@ class NodeState:
         my_nbrs = self.nbrs(self.node_id)
         if p.next_hop not in my_nbrs:
             return
-        if self.protocol == BEND:
-            onward = p.second_next_hop
-        else:
-            onward = self._onward(p.next_hop, p.dst)
-        if onward is None or (onward != p.next_hop and onward not in my_nbrs):
+        onward = self._onward(p.next_hop, p.dst)
+        if onward != p.next_hop and onward not in my_nbrs:
             return
         if len(self.q2) >= self.params.queue_cap:
             self.metrics.drops["q2_overflow"] += 1
@@ -620,8 +611,9 @@ class NodeState:
             self.metrics.drops["helper_queue_full"] += 1
             return []
         pkt = entry.pkt
-        forwarded = native_packet(pkt.id, pkt.src, pkt.dst, pkt.prev_hop,
-                                  entry.onward, pkt.payload)
+        forwarded = new_value(NativePacket, (pkt.id, pkt.src, pkt.dst,
+                                             pkt.prev_hop, entry.onward,
+                                             pkt.payload))
         # ACK first so other would-be helpers stand down sooner.
         actions: list[tuple] = [(now + self.params.turnaround, E_ACK_TX,
                                  self._make_ack(pid))]
@@ -650,16 +642,11 @@ class NodeState:
         """Stamp `pkts` as sent by this node, retire their `_queued` ids and
         build the frame that carries them: a lone native as it is, several
         as one coded packet. Returns the frame and the stamped natives."""
-        me, bend = self.node_id, self.protocol == BEND
-        stamped = []
+        me, stamped = self.node_id, []
         for p in pkts:
             self._queued.discard(p.id)
-            second = None
-            if bend:
-                second = (p.dst if p.next_hop == p.dst
-                          else next_hop(self.tables, p.next_hop, p.dst))
             stamped.append(new_value(NativePacket, (
-                p.id, p.src, p.dst, me, p.next_hop, p.payload, second)))
+                p.id, p.src, p.dst, me, p.next_hop, p.payload)))
         natives = tuple(stamped)
         body = natives[0] if len(natives) == 1 else encode(natives, me)
         return new_value(Frame, (body, tuple(self.recent_rx),
@@ -726,8 +713,8 @@ class NodeState:
             if not fits(hop, pid, at_hop, h.onward, qid):
                 continue
             p = h.pkt
-            cand = native_packet(qid, p.src, p.dst, p.prev_hop, h.onward,
-                                 p.payload, p.second_next_hop)
+            cand = new_value(NativePacket, (qid, p.src, p.dst, p.prev_hop,
+                                            h.onward, p.payload))
             if bend_mixable(pkt, cand, nbrs):
                 del self.q2[qid]
                 self.helper_timers.pop(qid, None)

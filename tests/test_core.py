@@ -49,8 +49,7 @@ def value_samples():
     ack = Ack(ack_sender=2, payload=pid)
     frame = Frame(body=coded, reception_report=(pid,), bits=96)
     return [
-        (nat, ("id", "src", "dst", "prev_hop", "next_hop", "payload",
-               "second_next_hop")),
+        (nat, ("id", "src", "dst", "prev_hop", "next_hop", "payload")),
         (comp, ("id", "src", "dst", "intended_next_hop")),
         (coded, ("components", "payload", "sender")),
         (ack, ("ack_sender", "payload")),

@@ -16,6 +16,7 @@ from meshnc import (
     CodedPacket,
     Flow,
     Metrics,
+    NativePacket,
     PayloadId,
     Protocol,
     Scenario,
@@ -194,7 +195,7 @@ class TestGrantScan:
                                   Protocol.COPE, 0.0, ()), 1)
         now = 1.0
         edge = now + 1e-12
-        pkt = core_mod.native_packet(PayloadId(0, 0), 0, 4, 0, 1, b"x")
+        pkt = NativePacket(PayloadId(0, 0), 0, 4, 0, 1, b"x")
         nodes = sim.nodes
         nodes[1].q1.append(node_mod.QueueEntry(pkt, edge))
         nodes[2].q1.append(node_mod.QueueEntry(pkt, math.nextafter(edge, 2)))
@@ -242,8 +243,8 @@ class TestAckBacklog:
                                   Protocol.PLAIN, 0.0, ()), 1)
         nodes, rate = sim.nodes, sim.params.data_rate
         for seq in (0, 1):  # the second keeps node 0 ready after the first
-            pkt = core_mod.native_packet(PayloadId(0, seq), 0, 4, 0, 1,
-                                         make_payload(PayloadId(0, seq), 64))
+            pkt = NativePacket(PayloadId(0, seq), 0, 4, 0, 1,
+                               make_payload(PayloadId(0, seq), 64))
             nodes[0].q1.append(node_mod.QueueEntry(pkt, 0.0))
         # A data frame on the air from 0.5 s, planted as a grant leaves it
         # but with no ACK window, and an ACK of node 6 due halfway through.
@@ -725,6 +726,14 @@ class TestScheduler:
         sc = x_scenario(Protocol.PLAIN, pairs=30)
         with pytest.raises(engine_mod.SchedulerOverflow):
             run(sc, seed=1)
+
+    @pytest.mark.parametrize("protocol", ["bend", "cope", "BEND", 7])
+    def test_a_protocol_that_is_not_a_member_is_rejected(self, protocol):
+        # The nodes compare the protocol with the members, so a name or a
+        # number would run a hybrid that never codes or helps.
+        sc = x_scenario(Protocol.BEND, pairs=1)._replace(protocol=protocol)
+        with pytest.raises(ValueError, match="Protocol member"):
+            Simulation(sc, seed=1)
 
     def test_unreachable_flow_faults_at_setup(self):
         topo = build_topology("x_topo")

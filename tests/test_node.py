@@ -50,10 +50,9 @@ def make_node(ctx, node_id, protocol, params=PARAMS):
                      frozenset(nbrs(node_id)), Metrics())
 
 
-def native(flow, seq, *, src, dst, prev, nxt, payload=b"\xaa" * 8, second=None):
+def native(flow, seq, *, src, dst, prev, nxt, payload=b"\xaa" * 8):
     return NativePacket(id=PayloadId(flow, seq), src=src, dst=dst,
-                        prev_hop=prev, next_hop=nxt, payload=payload,
-                        second_next_hop=second)
+                        prev_hop=prev, next_hop=nxt, payload=payload)
 
 
 def data_frame(body):
@@ -371,7 +370,7 @@ def reference_take_partner(node, pkt, heads_only):
             break
         p = h.pkt
         cand = NativePacket(pid, p.src, p.dst, p.prev_hop, h.onward,
-                            p.payload, p.second_next_hop)
+                            p.payload)
         if mixable(pkt, cand):
             del node.q2[pid]
             node.helper_timers.pop(pid, None)
@@ -756,8 +755,6 @@ class TestSelectTransmission:
         body = intent.frame.body
         assert isinstance(body, NativePacket)
         assert body.prev_hop == 1
-        # Outgoing bend natives carry the hop after the next hop.
-        assert body.second_next_hop == 3
 
     def test_plain_never_pairs(self, ctx):
         node = make_node(ctx, 1, Protocol.PLAIN)
@@ -774,19 +771,11 @@ class TestSelectTransmission:
         assert node.ready(5.0) is False
         assert node.ready(5.0 + PARAMS.pairing_hold) is True
 
-    def test_flexonc_natives_carry_no_second_next_hop(self, ctx):
-        node = make_node(ctx, 1, Protocol.FLEXONC)
-        fwd, _ = example_pair()
-        node.enqueue_source(fwd, 0.0)
-        intent = node.select_transmission(0.0)
-        assert intent.frame.body.second_next_hop is None
-
 
 class TestNativeHelping:
     def overhear(self, node, now=1.0):
         # Node 5 overhears the uplink 0 -> 1 (destination 4, onward hop 2).
-        pkt = native(0, 2, src=0, dst=4, prev=0, nxt=1,
-                     second=2 if node.protocol == Protocol.BEND else None)
+        pkt = native(0, 2, src=0, dst=4, prev=0, nxt=1)
         return pkt, node.on_data_frame(data_frame(pkt), now=now)
 
     @pytest.mark.parametrize("proto", [Protocol.BEND, Protocol.FLEXONC])

@@ -2,7 +2,7 @@
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from meshnc import (
@@ -15,8 +15,11 @@ from meshnc import (
     neighbor_next_hop,
     neighbors,
     next_hop,
+    parse_config,
 )
 from meshnc.routing import check_flows
+
+from mesh_strategies import mesh_configs
 
 
 def bfs_distances(topo, dst):
@@ -163,3 +166,27 @@ class TestCheckFlows:
         check_flows(topo, tables, (Flow(0, 1, 0.1, 1.0),))
         with pytest.raises(ValueError, match=message):
             check_flows(topo, tables, (Flow(0, 1, 0.1, 1.0), flow))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=mesh_configs())
+def test_a_chain_neighbour_reads_the_chain_nodes_next_hop(text):
+    """What both helping protocols rest on. For every node c on a flow's
+    route chain short of its destination, and every neighbour h of c, h's
+    copy of c's table names c's own next hop, and h has a route to the
+    destination: a helper standing in for c reads the hop that a header
+    stamped by c's upstream would carry, and its hop count is defined."""
+    cfg = parse_config(text)
+    topo = cfg.topology()
+    tables = build_forwarding_tables(topo, {fl.dst for fl in cfg.flows})
+    adj = topo.adjacency()
+    for fl in cfg.flows:
+        c = fl.src
+        while c != fl.dst:
+            succ = next_hop(tables, c, fl.dst)
+            for h in adj[c]:
+                assert neighbor_next_hop(tables, h, c, fl.dst) == succ
+                assert abs(tables.hop_count(h, fl.dst)
+                           - tables.hop_count(c, fl.dst)) <= 1
+            c = succ

@@ -9,7 +9,8 @@ import textwrap
 import pytest
 
 import meshnc
-from meshnc import gain_table, parse_config, run_sweep
+from meshnc import (Flow, Protocol, Scenario, build_topology, gain_table,
+                    parse_config, run, run_sweep)
 from meshnc.cli import main
 from meshnc.sweep import (
     GAINS_HEADER,
@@ -17,6 +18,7 @@ from meshnc.sweep import (
     UNDEFINED_GAIN,
     cell_stats,
     read_runs_csv,
+    rows_for_run,
     rows_to_csv,
     sweep_cells,
     write_csv,
@@ -173,6 +175,22 @@ class TestRunSweep:
             "flow = 0, 3, 0.07, 1\n")
         rows = run_sweep(cfg)
         assert len(rows) == 2  # one flow row plus the total row
+
+    def test_a_zero_duration_flow_reads_zero_throughput(self):
+        # `Flow` and `run` accept a flow that lasts 0 s. Its row reads
+        # 0.000, and the other flow's row reads its own throughput.
+        sc = Scenario("x", build_topology("x_topo"), Protocol.PLAIN, 0.0,
+                      (Flow(0, 3, 0.07, 0.0), Flow(1, 4, 0.07, 1.4)))
+        m = run(sc, seed=1)
+        rows = rows_for_run(sc, 1, m)
+        assert [r["flow"] for r in rows] == ["0", "1", "total"]
+        assert (rows[0]["delivered_bytes"], rows[0]["throughput_bps"]) == (
+            0, "0.000")
+        per_flow, _ = meshnc.throughput(m, 1.4)
+        assert m.delivered_bytes[1] > 0
+        assert rows[1]["throughput_bps"] == f"{per_flow[1]:.3f}"
+        assert ([rows[2][k] for k in ("delivered_bytes", "throughput_bps")]
+                == [rows[1][k] for k in ("delivered_bytes", "throughput_bps")])
 
 
 class TestGainTable:

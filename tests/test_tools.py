@@ -139,6 +139,28 @@ class TestSameBytes:
         assert all(" evict\t" in line and " plain " not in line
                    for line in lines[len(first):])
         assert len(set(line.split("\t")[0] for line in lines)) == 174
+        assert samebytes.AUDIT_CELLS == 174
+
+    def test_knob_cells_are_a_block_of_their_own(self, monkeypatch):
+        # The stub records each cell's knobs instead of simulating it.
+        import meshnc
+
+        params = []
+
+        class StubSimulation:
+            def __init__(self, scenario, seed):
+                params.append(scenario.params)
+
+            def run(self):
+                return meshnc.Metrics()
+
+        monkeypatch.setattr(meshnc, "Simulation", StubSimulation)
+        lines = samebytes.cell_lines(knobs=True)
+        assert len(lines) == len(set(lines)) == 18
+        assert all(" knobs\t" in line and " plain " not in line
+                   for line in lines)
+        assert {(p.timers.ack_slot, p.queue_cap) for p in params} == {
+            (samebytes.KNOB_ACK_SLOT, samebytes.KNOB_QUEUE_CAP)}
 
     def test_event_order_is_read_off_every_engine_pop(self, monkeypatch):
         # Restored by monkeypatch after the test, as the child never is.
@@ -168,13 +190,15 @@ class TestSameBytes:
     def test_an_event_order_difference_fails_the_audit(self, monkeypatch,
                                                        capsys):
         lines = self.A
-        events = iter(["a" * 64, "b" * 64])
+        events = iter([("a" * 64, "k" * 64), ("a" * 64, "m" * 64)])
         monkeypatch.setattr(samebytes, "start", lambda tree: tree)
         monkeypatch.setattr(samebytes, "finish",
                             lambda tree, proc: (lines, next(events)))
         assert samebytes.main(["base", "change"]) == 1
         out = capsys.readouterr().out.splitlines()
         assert out[2] == f"{'a' * 64}  event order  base"
+        assert out[4] == f"{'k' * 64}  knob event order  base"
+        assert out[9] == f"{'m' * 64}  knob event order  change"
         assert out[-1] == "first difference: event order differs"
 
     def test_prints_line_counts_after_the_digests(self, monkeypatch, capsys,
@@ -191,12 +215,14 @@ class TestSameBytes:
         base, change = tmp_path / "base", tmp_path / "change"
         monkeypatch.setattr(samebytes, "start", lambda tree: tree)
         monkeypatch.setattr(samebytes, "finish",
-                            lambda tree, proc: (self.A, "e" * 64))
+                            lambda tree, proc: (self.A, ("e" * 64, "k" * 64)))
         assert samebytes.main([str(base), str(change)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[2] == f"{'e' * 64}  event order  {base}"
-        assert out[5] == f"{'e' * 64}  event order  {change}"
-        assert out[6:] == [
+        assert out[4] == f"{'k' * 64}  knob event order  {base}"
+        assert out[7] == f"{'e' * 64}  event order  {change}"
+        assert out[9] == f"{'k' * 64}  knob event order  {change}"
+        assert out[10:] == [
             f"6 lines  a.py 3, b.py 2, c.py 1  {base}",
             f"7 lines  a.py 1, b.py 2, d.py 4  {change}",
             "lines changed: a.py 3 → 1, c.py 1 → -, d.py - → 4, total 6 → 7",
@@ -213,7 +239,8 @@ class TestSameBytes:
         field = samebytes.EVENT_FIELD
         base = [f"{line}{field}{'1' * 64}" for line in self.A]
         change = [base[0], f"{self.A[1]}{field}{'2' * 64}"]
-        results = iter([(base, "a" * 64), (change, "b" * 64)])
+        results = iter([(base, ("a" * 64, "k" * 64)),
+                        (change, ("b" * 64, "k" * 64))])
         monkeypatch.setattr(samebytes, "start", lambda tree: tree)
         monkeypatch.setattr(samebytes, "finish",
                             lambda tree, proc: next(results))
@@ -222,6 +249,6 @@ class TestSameBytes:
         metrics = hashlib.sha256(
             ("\n".join(self.A) + "\n").encode()).hexdigest()
         assert out[0] == f"{metrics}  2 cells  base"
-        assert out[3] == f"{metrics}  2 cells  change"
+        assert out[5] == f"{metrics}  2 cells  change"
         assert out[-1] == ("first difference: eight_node plain 0.0001 2: "
                            "event_order differ")

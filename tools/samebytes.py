@@ -2,7 +2,8 @@
 three sha256 digests: two over every `Metrics` field of every cell, one over
 the stock and collision cells and one over the eviction cells, and a third
 over the time and sequence number of every event the cells' engines pop, in
-order, so that equal digests mean equal event order too.
+order, so that equal digests mean equal event order too. Then it prints the
+same two kinds of digest for the knob cells, on lines of their own.
 
     python3 tools/samebytes.py TREE [TREE2]
 
@@ -21,6 +22,17 @@ frame being peeled, which no earlier cell exercises: a reuse of a peeled
 native that ignores such an eviction passes the first 156 cells but not
 these.
 
+The 18 knob cells come after the 174 audit cells: eight_node, x_topo and
+grid5, each with cope, bend and flexonc x seeds 1-2 at BER 1e-4, on the
+stock flows cut to 5 s, with ``ack_slot = 0.01`` and ``queue_cap = 4``. The
+long helper hold lets fresh transmissions push armed helpers out
+(``NodeState._refresh_helper``), and the short queues overflow when an
+unacknowledged native returns to the head of q1 (the tail of
+``NodeState._fire_pending``) or a helper fires into a full q1
+(``helper_queue_full``): node branches that no audit cell reaches. Their
+metrics digest and their event-order digest are printed on lines of their
+own, so that the three audit digests read as without them.
+
 Each tree runs in its own child process that imports ``meshnc`` from
 ``TREE/src``; only there is ``heapq.heappop`` wrapped to read event order.
 The child also ends each cell's line with an ``event_order`` field, the
@@ -30,7 +42,7 @@ differ and the fields that differ there (``event_order`` for the latter),
 and exits 1 if any do. After the digests it prints each tree's line count
 (as ``wc -l`` counts) per ``src/meshnc/*.py`` module and in total, and,
 given two trees, the modules whose count changed.
-Standard library only. One tree takes about 13 s on one core of a 2-vCPU host
+Standard library only. One tree takes about 11 s on one core of a 2-vCPU host
 with Python 3.11, and two trees run side by side.
 """
 from __future__ import annotations
@@ -60,8 +72,14 @@ COARSE_FLOW_SECONDS = 5.0
 EVICT_CELLS = COARSE_CELLS
 EVICT_FLOW_SECONDS = 5.0
 EVICT_POOL_TTL = 0.2
+KNOB_CELLS = COARSE_CELLS
+KNOB_FLOW_SECONDS = 5.0
+KNOB_ACK_SLOT = 0.01
+KNOB_QUEUE_CAP = 4
 # The cells of the first digest: the stock cells, then the collision cells.
 FIRST_DIGEST_CELLS = 156
+# The audit cells, after which come the knob cells.
+AUDIT_CELLS = 174
 # The field that ends each cell line from the child: its event-order digest.
 EVENT_FIELD = "\tevent_order="
 
@@ -74,22 +92,28 @@ class CoarseRandom(random.Random):
         return round(super().random() * 8) / 8
 
 
-def cell_lines(cell_events=None) -> list[str]:
-    """One line per cell, "kind protocol ber seed" (plus "coarse" for a
-    collision cell and "evict" for an eviction cell) and then every
-    `Metrics` field as name=value, counters as their sorted items,
-    tab-separated. Given `cell_events`, a call that returns the digest of
-    the events since its last call, each line ends with that digest."""
+def cell_lines(cell_events=None, knobs: bool = False) -> list[str]:
+    """One line per audit cell, or per knob cell if `knobs`: "kind protocol
+    ber seed" (plus "coarse" for a collision cell, "evict" for an eviction
+    cell and "knobs" for a knob cell) and then every `Metrics` field as
+    name=value, counters as their sorted items, tab-separated. Given
+    `cell_events`, a call that returns the digest of the events since its
+    last call, each line ends with that digest."""
     from meshnc import (Flow, Protocol, Scenario, SimParams, Simulation,
-                        build_topology, default_flows)
+                        TimerParams, build_topology, default_flows)
     stock, evict = SimParams(), SimParams(pool_ttl=EVICT_POOL_TTL)
     coding = tuple(p for p in Protocol if p != Protocol.PLAIN)
+    blocks = (
+        (CELLS, FLOW_SECONDS, tuple(Protocol), stock, ""),
+        (COARSE_CELLS, COARSE_FLOW_SECONDS, tuple(Protocol), stock,
+         " coarse"),
+        (EVICT_CELLS, EVICT_FLOW_SECONDS, coding, evict, " evict"))
+    if knobs:
+        blocks = ((KNOB_CELLS, KNOB_FLOW_SECONDS, coding, SimParams(
+            timers=TimerParams(ack_slot=KNOB_ACK_SLOT),
+            queue_cap=KNOB_QUEUE_CAP), " knobs"),)
     lines = []
-    for cells, seconds, protocols, params, tag in (
-            (CELLS, FLOW_SECONDS, tuple(Protocol), stock, ""),
-            (COARSE_CELLS, COARSE_FLOW_SECONDS, tuple(Protocol), stock,
-             " coarse"),
-            (EVICT_CELLS, EVICT_FLOW_SECONDS, coding, evict, " evict")):
+    for cells, seconds, protocols, params, tag in blocks:
         for kind, bers, seeds in cells:
             topo = build_topology(kind)
             flows = tuple(Flow(f.src, f.dst, f.interval, seconds)
@@ -120,15 +144,20 @@ def cell_lines(cell_events=None) -> list[str]:
 
 
 class EventOrder:
-    """Two sha256 hashers fed alike: one over every event of the process,
-    and one over the events since `cell_digest` was last called."""
+    """Two sha256 hashers fed alike: one over the events since
+    `block_digest` was last called, and one over the events since
+    `cell_digest` was last called."""
 
     def __init__(self):
-        self.run, self.cell = hashlib.sha256(), hashlib.sha256()
+        self.block, self.cell = hashlib.sha256(), hashlib.sha256()
 
     def update(self, chunk: bytes) -> None:
-        self.run.update(chunk)
+        self.block.update(chunk)
         self.cell.update(chunk)
+
+    def block_digest(self) -> str:
+        digest, self.block = self.block.hexdigest(), hashlib.sha256()
+        return digest
 
     def cell_digest(self) -> str:
         digest, self.cell = self.cell.hexdigest(), hashlib.sha256()
@@ -159,14 +188,21 @@ def start(tree: Path) -> subprocess.Popen:
                             env=env, stdout=subprocess.PIPE, text=True)
 
 
-def finish(tree: Path, proc: subprocess.Popen) -> tuple[list[str], str]:
-    """The cell lines of one tree and its event-order digest."""
+def finish(tree: Path, proc: subprocess.Popen,
+           ) -> tuple[list[str], tuple[str, ...]]:
+    """The cell lines of one tree, audit cells then knob cells, and the
+    event-order digests of the two blocks."""
     out, _ = proc.communicate()
     if proc.returncode != 0:
         raise SystemExit(f"samebytes: the cells failed in {tree} "
                          f"with exit {proc.returncode}")
-    *lines, last = out.splitlines()
-    return lines, last.removeprefix("events ")
+    lines, events = [], []
+    for line in out.splitlines():
+        if line.startswith("events "):
+            events.append(line.removeprefix("events "))
+        else:
+            lines.append(line)
+    return lines, tuple(events)
 
 
 def first_difference(a: list[str], b: list[str]) -> str | None:
@@ -180,6 +216,12 @@ def first_difference(a: list[str], b: list[str]) -> str | None:
     if len(a) != len(b):
         return f"cell counts differ: {len(a)} against {len(b)}"
     return None
+
+
+def metrics_digest(lines: list[str]) -> str:
+    """The sha256 of `lines`, one per line, then their count."""
+    digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+    return f"{digest}  {len(lines)}"
 
 
 def line_counts(tree: Path) -> dict[str, int]:
@@ -202,8 +244,9 @@ def main(argv: list[str]) -> int:
     if argv == ["--cells"]:
         events = EventOrder()
         record_event_order(events)
-        print("\n".join(cell_lines(events.cell_digest)))
-        print(f"events {events.run.hexdigest()}")
+        for knobs in (False, True):
+            print("\n".join(cell_lines(events.cell_digest, knobs)))
+            print(f"events {events.block_digest()}")
         return 0
     if not 1 <= len(argv) <= 2 or any(a.startswith("-") for a in argv):
         print(__doc__.strip().split("\n\n")[1], file=sys.stderr)
@@ -211,14 +254,14 @@ def main(argv: list[str]) -> int:
     trees = [Path(a) for a in argv]
     procs = [start(tree) for tree in trees]
     results = [finish(tree, proc) for tree, proc in zip(trees, procs)]
-    for tree, (lines, events) in zip(trees, results):
+    for tree, (lines, (events, knob_events)) in zip(trees, results):
         metrics = [line.partition(EVENT_FIELD)[0] for line in lines]
-        for group in (metrics[:FIRST_DIGEST_CELLS],
-                      metrics[FIRST_DIGEST_CELLS:]):
-            digest = hashlib.sha256(
-                ("\n".join(group) + "\n").encode()).hexdigest()
-            print(f"{digest}  {len(group)} cells  {tree}")
+        print(f"{metrics_digest(metrics[:FIRST_DIGEST_CELLS])} cells  {tree}")
+        print(f"{metrics_digest(metrics[FIRST_DIGEST_CELLS:AUDIT_CELLS])} "
+              f"cells  {tree}")
         print(f"{events}  event order  {tree}")
+        print(f"{metrics_digest(metrics[AUDIT_CELLS:])} knob cells  {tree}")
+        print(f"{knob_events}  knob event order  {tree}")
     counts = [line_counts(tree) for tree in trees]
     for tree, count in zip(trees, counts):
         modules = ", ".join(f"{name} {n}" for name, n in count.items())
