@@ -1,20 +1,19 @@
-"""Pure decision logic of the coding protocols.
+"""Decision logic and neighbour knowledge of the coding protocols.
 
 What may be mixed (COPE's knowledge-gated rule, BEND's positional rule), who
-may forward on another node's behalf (eligibility), in which order competing
-receivers act (priority), and how long timers run. Everything here is a pure
-function over immutable inputs; all mutable protocol state lives in the node
-runtime.
+may forward on another node's behalf (eligibility, through
+`routing.stand_in_hop`), in which order competing receivers act (priority),
+and how long timers run. Everything here but `NeighborKnowledge`, the belief
+tables a node updates as it hears frames, is a pure function over immutable
+inputs; all other mutable protocol state lives in the node runtime.
 """
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Container, Iterable, NamedTuple, Optional, Sequence
+from typing import Container, Iterable, NamedTuple, Optional, Sequence
 
 from .core import CodedComponent, CodedPacket, NativePacket, NodeId, PayloadId, Protocol, decodable
-from .routing import ForwardingTables, RoutingError, neighbor_next_hop
-
-NeighborFn = Callable[[NodeId], frozenset[NodeId]]
+from .routing import ForwardingTables, NeighborFn, stand_in_hop
 
 
 class _TimerFields(NamedTuple):
@@ -39,8 +38,8 @@ class NeighborKnowledge:
     hold and nothing else reads a belief.
 
     Fed by piggybacked reception reports, overheard ACKs and broadcast
-    inference. A write about a neighbor outside `hops` is dropped, and a
-    read about one raises KeyError, as an invariant check. Each neighbor
+    inference. A write or a read about a neighbor outside `hops` raises
+    KeyError, as an invariant check: callers test `hops` first. Each neighbor
     keeps at most `cap` entries, oldest evicted first; that cap is the only
     way entries leave during a run, since the node runtime never calls
     `prune`.
@@ -70,9 +69,7 @@ class NeighborKnowledge:
 
     def merge(self, neighbor: NodeId, pids: Sequence[PayloadId],
               now: float = 0.0) -> None:
-        entries = self._held.get(neighbor)
-        if entries is None:
-            return
+        entries = self._held[neighbor]
         to_end = entries.move_to_end
         for pid in pids:
             entries[pid] = now
@@ -86,9 +83,7 @@ class NeighborKnowledge:
                    now: float = 0.0) -> None:
         held, cap = self._held, self.cap
         for neighbor in neighbors:
-            entries = held.get(neighbor)
-            if entries is None:
-                continue
+            entries = held[neighbor]
             entries[pid] = now
             entries.move_to_end(pid)
             if len(entries) > cap:
@@ -169,22 +164,13 @@ def eligibility_failure(receiver: NodeId, component: CodedComponent,
                         nbrs: NeighborFn,
                         pool: frozenset[PayloadId] | set[PayloadId] | dict,
                         ) -> Optional[int]:
-    """First failing criterion (1, 2 or 3) for helping one component, or None.
-
-    Criterion 2 (the onward hop from the intended forwarder must be a
-    neighbor) is waived when the intended forwarder is the final destination.
-    """
+    """First failing criterion for helping one component, or None: 1 and 2
+    are `routing.stand_in_hop`'s, and 3 is that the receiver can decode it."""
     intended = component.intended_next_hop
-    my_nbrs = nbrs(receiver)
-    if intended not in my_nbrs:
+    if intended not in nbrs(receiver):
         return 1
-    if intended != component.dst:
-        try:
-            onward = neighbor_next_hop(tables, receiver, intended, component.dst)
-        except RoutingError:
-            return 2
-        if onward not in my_nbrs:
-            return 2
+    if stand_in_hop(tables, nbrs, receiver, intended, component.dst) is None:
+        return 2
     if not decodable(coded, pool, component):
         return 3
     return None
@@ -195,10 +181,8 @@ def flexonc_eligible(receiver: NodeId, coded: CodedPacket,
                      pool: frozenset[PayloadId] | set[PayloadId] | dict,
                      ) -> Optional[CodedComponent]:
     """First component (header order) the receiver may decode and forward on
-    the intended forwarder's behalf; None when no component qualifies."""
+    the intended forwarder's behalf (its own fails criterion 1), or None."""
     for component in coded.components:
-        if component.intended_next_hop == receiver:
-            continue
         if eligibility_failure(receiver, component, coded, tables, nbrs,
                                pool) is None:
             return component

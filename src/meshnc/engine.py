@@ -58,16 +58,11 @@ from typing import Optional
 
 from .channel import ChannelParams, sample_reception
 from .core import ACK_FRAME_BITS, NativePacket, PayloadId, Protocol, new_value
-from .node import (E_ACK_TX, E_TIMER, E_WAKE, Metrics, NodeState,
-                   most_components)
+from .node import (E_ACK_END, E_ACK_TX, E_FRAME_END, E_GRANT, E_TIMER,
+                   E_TRAFFIC, E_WAKE, Metrics, NodeState, most_components)
 from .params import Scenario
 from .routing import (build_forwarding_tables, next_hop, sendable_hops,
                       shared_tables)
-
-E_TRAFFIC = 0
-E_GRANT = 1
-E_FRAME_END = 2
-E_ACK_END = 4
 
 MAX_EVENTS = 100_000_000
 

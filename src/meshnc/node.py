@@ -27,7 +27,6 @@ from collections import Counter, OrderedDict, deque
 from typing import Callable, Container, NamedTuple, Optional
 
 from .coding import (
-    NeighborFn,
     NeighborKnowledge,
     bend_mixable,
     cope_select,
@@ -54,14 +53,19 @@ from .core import (
     new_value,
 )
 from .params import SimParams
-from .routing import ForwardingTables, neighbor_next_hop, next_hop
+from .routing import ForwardingTables, NeighborFn, next_hop, stand_in_hop
 
 # Bound once: looking a member up on the enum class is slow on the hot path.
 PLAIN, COPE, BEND, FLEXONC = Protocol
 HELPING = (BEND, FLEXONC)  # the protocols with helpers and positional mixing
 
-# The engine's event kinds for what a node schedules itself.
+# The engine's event kinds, all in one table: a node schedules E_ACK_TX,
+# E_TIMER and E_WAKE itself, and the engine the others.
+E_TRAFFIC = 0
+E_GRANT = 1
+E_FRAME_END = 2
 E_ACK_TX = 3
+E_ACK_END = 4
 E_TIMER = 5
 E_WAKE = 6
 
@@ -385,14 +389,6 @@ class NodeState:
         if eligible > now:
             actions.append((eligible, E_WAKE, None))
 
-    def _onward(self, intended: NodeId, dst: NodeId) -> NodeId:
-        """The hop after `intended` toward `dst`, read from this node's copy
-        of the intended forwarder's table. A caller neighbours `intended`, a
-        node on the payload's route chain, so the copy has a route to `dst`."""
-        if intended == dst:
-            return dst
-        return neighbor_next_hop(self.tables, self.node_id, intended, dst)
-
     def _rank_table(self, sender: NodeId, intended: NodeId) -> dict:
         """`priority_index` of each node for a frame from `sender` to
         `intended`, as a table; a node it would reject is missing."""
@@ -450,11 +446,9 @@ class NodeState:
                                  actions: list[tuple]) -> None:
         if self._in_custody(p.id) or not self.admit_packet(p):
             return
-        my_nbrs = self.nbrs(self.node_id)
-        if p.next_hop not in my_nbrs:
-            return
-        onward = self._onward(p.next_hop, p.dst)
-        if onward != p.next_hop and onward not in my_nbrs:
+        onward = stand_in_hop(self.tables, self.nbrs, self.node_id,
+                              p.next_hop, p.dst)
+        if onward is None:
             return
         if len(self.q2) >= self.params.queue_cap:
             self.metrics.drops["q2_overflow"] += 1
@@ -499,9 +493,9 @@ class NodeState:
         if native is None or not self.admit_packet(native):
             self.metrics.drops["non_intended_coded"] += 1
             return actions
-        self._arm_helper(native, c.sender,
-                         self._onward(comp.intended_next_hop, comp.dst),
-                         now, actions)
+        self._arm_helper(native, c.sender, stand_in_hop(
+            self.tables, self.nbrs, self.node_id, comp.intended_next_hop,
+            comp.dst), now, actions)
         return actions
 
     # ----------------------------------------------------------------- acks

@@ -9,6 +9,8 @@ destinations only, one BFS from each; `shared_tables` builds them once per
 topology and destination set, for the flow check and every cell of a sweep.
 `check_flows` is the one test that a set of flows can be routed at all, and
 `sendable_hops` names, per node, every hop it can ever address a packet to.
+`stand_in_hop` is the one rule for when, and to where, a node may forward a
+payload on another's behalf: hop sets, eligibility and native helping.
 """
 from __future__ import annotations
 
@@ -16,6 +18,9 @@ from typing import Callable, Iterable, NamedTuple
 
 from .channel import Topology
 from .core import NodeId, Protocol
+
+
+NeighborFn = Callable[[NodeId], frozenset[NodeId]]
 
 
 class RoutingError(KeyError):
@@ -109,12 +114,11 @@ def sendable_hops(topo: Topology, tables: ForwardingTables, flows: Iterable,
     forwarder and a helper each read it from a chain node's table, and
     decoding, retransmission and mix splits keep it. So a node sends only
     to its successor on each chain it sits on and, under bend and flexonc,
-    as a helper standing in for a chain node c[j] it neighbours: to c[j+1]
-    when that is its neighbour too, or to c[j] when c[j] is the destination.
+    as a helper standing in for a chain node c[j], to its `stand_in_hop`.
     """
     flows = tuple(flows)
     check_flows(topo, tables, flows)
-    adj = topo.adjacency()
+    nbrs = topo.adjacency().__getitem__
     helping = protocol in (Protocol.BEND, Protocol.FLEXONC)
     hops: dict[NodeId, set[NodeId]] = {n: set() for n in topo.nodes()}
     for fl in flows:
@@ -128,13 +132,29 @@ def sendable_hops(topo: Topology, tables: ForwardingTables, flows: Iterable,
             continue
         # A packet's next hop is never its source, so helpers stand in for
         # c[1] onward.
-        for j in range(1, len(chain)):
-            intended = chain[j]
-            onward = chain[j + 1] if intended != dst else dst
-            for helper in adj[intended]:
-                if onward == intended or onward in adj[helper]:
+        for intended in chain[1:]:
+            for helper in nbrs(intended):
+                onward = stand_in_hop(tables, nbrs, helper, intended, dst)
+                if onward is not None:
                     hops[helper].add(onward)
     return {n: frozenset(h) for n, h in hops.items()}
+
+
+def stand_in_hop(tables: ForwardingTables, nbrs: NeighborFn, helper: NodeId,
+                 intended: NodeId, dst: NodeId) -> NodeId | None:
+    """Where `helper` sends a payload bound for `dst` when it stands in for
+    its intended forwarder `intended`, or None when it may not: it must
+    neighbour `intended` (criterion 1) and, unless `intended` is `dst`
+    itself, the onward hop its copy of `intended`'s table names
+    (criterion 2). Every chain node routes to `dst`, so a neighbour's copy
+    of its table has the entry."""
+    mine = nbrs(helper)
+    if intended not in mine:
+        return None
+    if intended == dst:
+        return dst
+    onward = tables.neighbor_copies[helper][intended][dst]
+    return onward if onward in mine else None
 
 
 def next_hop(tables: ForwardingTables, n: NodeId, dst: NodeId) -> NodeId:

@@ -191,31 +191,33 @@ class TestNeighborKnowledge:
         """Every kept neighbor's entries in key order: what eviction reads."""
         return {n: list(entries.items()) for n, entries in know._held.items()}
 
-    # Neighbors 0-5 against hop sets drawn from them, so updates reach
-    # neighbors outside the set as well as in it.
+    # Hop sets drawn from neighbors 0-5, and updates about their members:
+    # every caller tests the set before it writes.
     _pids = st.builds(PayloadId, st.integers(0, 1), st.integers(0, 3))
-    _ops = st.one_of(
-        st.tuples(st.just("merge"), st.integers(0, 5),
-                  st.lists(_pids, max_size=8).map(tuple)),
-        st.tuples(st.just("fan_out"),
-                  st.lists(st.integers(0, 5), max_size=5).map(tuple), _pids),
-    )
+
+    @classmethod
+    def _ops(cls, hops):
+        member = st.sampled_from(sorted(hops))
+        return st.one_of(
+            st.tuples(st.just("merge"), member,
+                      st.lists(cls._pids, max_size=8).map(tuple)),
+            st.tuples(st.just("fan_out"),
+                      st.lists(member, max_size=5).map(tuple), cls._pids),
+        )
 
     @settings(max_examples=200, deadline=None)
-    @given(cap=st.integers(0, 4), hops=st.frozensets(st.integers(0, 5)),
-           ops=st.lists(_ops, max_size=30))
-    def test_batched_updates_match_one_add_per_entry(self, cap, hops, ops):
+    @given(cap=st.integers(0, 4), data=st.data())
+    def test_batched_updates_match_one_add_per_entry(self, cap, data):
         # A small payload space and small caps make reports repeat entries
         # and evict on most updates. `model` is the cap-bounded
-        # recency list that `add` must keep, written out by hand, for the
-        # neighbors in `hops`; an update about any other leaves no state.
+        # recency list that `add` must keep, written out by hand.
+        hops = data.draw(st.frozensets(st.integers(0, 5), min_size=1))
+        ops = data.draw(st.lists(self._ops(hops), max_size=30))
         batched = NeighborKnowledge(hops, cap)
         single = NeighborKnowledge(hops, cap)
         model: dict = {n: [] for n in hops}
 
         def model_add(neighbor, pid, now):
-            if neighbor not in hops:
-                return
             entries = model[neighbor]
             entries[:] = [e for e in entries if e[0] != pid] + [(pid, now)]
             del entries[:max(0, len(entries) - cap)]
@@ -234,16 +236,23 @@ class TestNeighborKnowledge:
             assert self.state(single) == model
 
     def test_reads_outside_the_hop_set_raise(self):
+        # Writes too: a write outside the set is a broken invariant, not a
+        # belief to drop.
         know = NeighborKnowledge((1, 2))
         pid = PayloadId(0, 0)
         know.add(1, pid)
-        know.add(3, pid)
         assert know.knows(1, pid) and not know.knows(2, pid)
         assert know.holds_all(1, [pid]) and not know.holds_all(2, [pid])
         with pytest.raises(KeyError):
             know.knows(3, pid)
         with pytest.raises(KeyError):
             know.holds_all(3, ())
+        with pytest.raises(KeyError):
+            know.merge(3, (pid,))
+        with pytest.raises(KeyError):
+            know.add_to_all((3,), pid)
+        with pytest.raises(KeyError):
+            know.add(3, pid)
 
     def test_negative_cap_rejected(self):
         with pytest.raises(ValueError):

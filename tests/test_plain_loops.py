@@ -20,6 +20,7 @@ import meshnc.coding as coding_mod
 import meshnc.core as core_mod
 import meshnc.engine as engine_mod
 import meshnc.node as node_mod
+import meshnc.routing as routing_mod
 
 PER_EVENT = {
     "engine.mac_grant": engine_mod.mac_grant,
@@ -37,6 +38,7 @@ PER_EVENT = {
     "coding.NeighborKnowledge.holds_all":
         coding_mod.NeighborKnowledge.holds_all,
     "coding.cope_select": coding_mod.cope_select,
+    "routing.stand_in_hop": routing_mod.stand_in_hop,
     "core.decodable": core_mod.decodable,
     "core.encode": core_mod.encode,
 }

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from meshnc import (
     Flow,
+    Protocol,
     RoutingError,
     Topology,
     build_forwarding_tables,
@@ -17,7 +18,7 @@ from meshnc import (
     next_hop,
     parse_config,
 )
-from meshnc.routing import check_flows
+from meshnc.routing import check_flows, sendable_hops, stand_in_hop
 
 from mesh_strategies import mesh_configs
 
@@ -190,3 +191,39 @@ def test_a_chain_neighbour_reads_the_chain_nodes_next_hop(text):
                 assert abs(tables.hop_count(h, fl.dst)
                            - tables.hop_count(c, fl.dst)) <= 1
             c = succ
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=mesh_configs())
+def test_stand_in_hop_is_the_two_criteria(text):
+    """For every flow, every chain node c from c[1] on (a packet's next hop
+    is never its source) and every node h, `stand_in_hop` against the rule
+    stated from the adjacency and the nodes' own tables alone: h neighbours
+    c, and then sends to dst if c is dst, else to c's next hop if h
+    neighbours that too. Every hop it names is in h's sendable hops under
+    both helping protocols."""
+    cfg = parse_config(text)
+    topo = cfg.topology()
+    tables = build_forwarding_tables(topo, {fl.dst for fl in cfg.flows})
+    adj = topo.adjacency()
+    sendable = [sendable_hops(topo, tables, cfg.flows, protocol)
+                for protocol in (Protocol.BEND, Protocol.FLEXONC)]
+    for fl in cfg.flows:
+        c = tables.own[fl.src][fl.dst]
+        while True:
+            for h in topo.nodes():
+                if c not in adj[h]:
+                    expected = None
+                elif c == fl.dst:
+                    expected = fl.dst
+                else:
+                    onward = tables.own[c][fl.dst]
+                    expected = onward if onward in adj[h] else None
+                got = stand_in_hop(tables, adj.__getitem__, h, c, fl.dst)
+                assert got == expected, (fl, c, h)
+                if got is not None:
+                    assert all(got in hops[h] for hops in sendable)
+            if c == fl.dst:
+                break
+            c = tables.own[c][fl.dst]

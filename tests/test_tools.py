@@ -204,14 +204,21 @@ class TestSameBytes:
     def test_prints_line_counts_after_the_digests(self, monkeypatch, capsys,
                                                   tmp_path):
         # Two scratch trees: one module shrinks, one goes, one is new and
-        # one is left alone. The digest lines read as before, and the
-        # verdict stays last.
-        for tree, modules in (("base", {"a.py": 3, "b.py": 2, "c.py": 1}),
-                              ("change", {"a.py": 1, "b.py": 2, "d.py": 4})):
+        # one is left alone. Code lines leave out blank and comment-only
+        # lines and docstrings, but not another string's lines. The digest
+        # lines read as before, and the verdict stays last.
+        docs = '"""Doc\nstring."""\nx = 1\n\n# note\ny = 2\n'
+        func = 'def f():\n    """Doc."""\n    return 1  # one\n'
+        text = 's = """\nnot a docstring\n"""\nx = 1  # one\n'
+        for tree, modules in (("base", {"a.py": docs, "b.py": "x = 1\n" * 2,
+                                        "c.py": func}),
+                              ("change", {"a.py": "x = 1\n",
+                                          "b.py": "x = 1\n" * 2,
+                                          "d.py": text})):
             package = tmp_path / tree / "src" / "meshnc"
             package.mkdir(parents=True)
-            for name, lines in modules.items():
-                (package / name).write_text("x = 1\n" * lines)
+            for name, source in modules.items():
+                (package / name).write_text(source)
         base, change = tmp_path / "base", tmp_path / "change"
         monkeypatch.setattr(samebytes, "start", lambda tree: tree)
         monkeypatch.setattr(samebytes, "finish",
@@ -223,9 +230,14 @@ class TestSameBytes:
         assert out[7] == f"{'e' * 64}  event order  {change}"
         assert out[9] == f"{'k' * 64}  knob event order  {change}"
         assert out[10:] == [
-            f"6 lines  a.py 3, b.py 2, c.py 1  {base}",
+            f"11 lines  a.py 6, b.py 2, c.py 3  {base}",
             f"7 lines  a.py 1, b.py 2, d.py 4  {change}",
-            "lines changed: a.py 3 → 1, c.py 1 → -, d.py - → 4, total 6 → 7",
+            "lines changed: a.py 6 → 1, c.py 3 → -, d.py - → 4, "
+            "total 11 → 7",
+            f"6 code lines  a.py 2, b.py 2, c.py 2  {base}",
+            f"7 code lines  a.py 1, b.py 2, d.py 4  {change}",
+            "code lines changed: a.py 2 → 1, c.py 2 → -, d.py - → 4, "
+            "total 6 → 7",
             "same bytes",
         ]
 
